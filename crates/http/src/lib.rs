@@ -7,14 +7,15 @@
 //! * [`types`] — methods, status codes, case-insensitive header map,
 //!   request/response representations.
 //! * [`url`] — `http(s)://host[:port]/path?query` parsing.
-//! * [`parse`] — incremental head parsing with size limits, body framing
-//!   via `Content-Length`, `Transfer-Encoding: chunked`, or read-to-EOF.
+//! * [`parse`] — message framing over buffered bytes with size limits,
+//!   body framing via `Content-Length`, `Transfer-Encoding: chunked`, or
+//!   read-to-EOF.
 //! * [`fast`] — the allocation-free in-place parser + renderer used by
 //!   the fw-serve hot path, proptested equivalent to [`parse`].
 //! * [`client`] — request serialization + response reading with deadlines,
 //!   over any [`Dialer`] (simulated network or real TCP).
-//! * [`server`] — a per-connection serve loop with keep-alive semantics,
-//!   used by the cloud ingress nodes.
+//! * [`server`] — the keep-alive serve loop as a sans-IO session, run
+//!   inline by the cloud ingress nodes or blocking over a connection.
 //!
 //! The parser is defensive: header/body size caps, typed errors, no panics
 //! on malformed input (property-tested in `tests/`).

@@ -26,6 +26,7 @@
 
 pub mod conn;
 pub mod fault;
+pub mod session;
 pub mod sim;
 pub mod tcp;
 pub mod tls;
@@ -33,6 +34,7 @@ pub mod vclock;
 
 pub use conn::{pipe_pair, Connection, PipeConn};
 pub use fault::FaultConfig;
+pub use session::{Outbox, Session};
 pub use sim::{NetStats, SimNet};
-pub use tls::{TlsClient, TlsError, TlsServer};
+pub use tls::{TlsClient, TlsError, TlsServer, TlsServerSession};
 pub use vclock::{Clock, ClockSource, VClock, WallClock};

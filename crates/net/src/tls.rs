@@ -17,9 +17,11 @@
 //! transport.
 
 use crate::conn::Connection;
+use crate::session::{Outbox, Session};
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: &[u8; 5] = b"FWTLS";
@@ -77,18 +79,18 @@ fn derive_key(sni: &[u8], cert: &[u8]) -> u8 {
     a ^ b
 }
 
-fn write_frame(conn: &mut dyn Connection, kind: u8, name: &[u8]) -> io::Result<()> {
+/// A handshake frame on the wire.
+fn encode_frame(kind: u8, name: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + name.len());
     frame.extend_from_slice(MAGIC);
     frame.push(kind);
     frame.extend_from_slice(&(name.len() as u16).to_be_bytes());
     frame.extend_from_slice(name);
-    conn.write_all(&frame)
+    frame
 }
 
-fn read_frame(conn: &mut dyn Connection, expect_kind: u8) -> Result<Vec<u8>, TlsError> {
-    let mut head = [0u8; 8];
-    conn.read_exact(&mut head)?;
+/// Validate a frame's 8-byte header; returns the name length.
+fn frame_len(head: &[u8], expect_kind: u8) -> Result<usize, TlsError> {
     if &head[..5] != MAGIC || head[5] != expect_kind {
         return Err(TlsError::NotTls);
     }
@@ -96,18 +98,59 @@ fn read_frame(conn: &mut dyn Connection, expect_kind: u8) -> Result<Vec<u8>, Tls
     if len > MAX_NAME {
         return Err(TlsError::NotTls);
     }
+    Ok(len)
+}
+
+fn write_frame(conn: &mut dyn Connection, kind: u8, name: &[u8]) -> io::Result<()> {
+    conn.write_all(&encode_frame(kind, name))
+}
+
+fn read_frame(conn: &mut dyn Connection, expect_kind: u8) -> Result<Vec<u8>, TlsError> {
+    let mut head = [0u8; 8];
+    conn.read_exact(&mut head)?;
+    let len = frame_len(&head, expect_kind)?;
     let mut name = vec![0u8; len];
     conn.read_exact(&mut name)?;
     Ok(name)
+}
+
+/// The XOR keystream of one direction: every byte is XORed with the
+/// session key and a per-direction byte counter.
+#[derive(Debug, Clone, Copy)]
+struct Cipher {
+    key: u8,
+    ctr: u8,
+}
+
+impl Cipher {
+    fn new(key: u8) -> Cipher {
+        Cipher { key, ctr: 0 }
+    }
+
+    fn apply(&mut self, buf: &mut [u8]) {
+        for b in buf {
+            *b ^= self.key ^ self.ctr;
+            self.ctr = self.ctr.wrapping_add(1);
+        }
+    }
 }
 
 /// A scrambled stream over an inner connection (both roles use this after
 /// their handshake).
 struct Scrambled<C: Connection> {
     inner: C,
-    key: u8,
-    read_ctr: u8,
-    write_ctr: u8,
+    read: Cipher,
+    write: Cipher,
+}
+
+impl<C: Connection> Scrambled<C> {
+    fn new(inner: C, key: u8) -> Scrambled<C> {
+        Scrambled {
+            inner,
+            read: Cipher::new(key),
+            write: Cipher::new(key),
+        }
+    }
 }
 
 impl<C: Connection> fmt::Debug for Scrambled<C> {
@@ -118,25 +161,16 @@ impl<C: Connection> fmt::Debug for Scrambled<C> {
     }
 }
 
-impl<C: Connection> Scrambled<C> {
-    fn xor_in_place(buf: &mut [u8], key: u8, ctr: &mut u8) {
-        for b in buf {
-            *b ^= key ^ *ctr;
-            *ctr = ctr.wrapping_add(1);
-        }
-    }
-}
-
 impl<C: Connection> Connection for Scrambled<C> {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         let mut copy = buf.to_vec();
-        Self::xor_in_place(&mut copy, self.key, &mut self.write_ctr);
+        self.write.apply(&mut copy);
         self.inner.write_all(&copy)
     }
 
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
-        Self::xor_in_place(&mut buf[..n], self.key, &mut self.read_ctr);
+        self.read.apply(&mut buf[..n]);
         Ok(n)
     }
 
@@ -173,13 +207,17 @@ impl TlsClient {
             });
         }
         let key = derive_key(sni.as_bytes(), &cert);
-        Ok(Box::new(Scrambled {
-            inner: conn,
-            key,
-            read_ctr: 0,
-            write_ctr: 0,
-        }))
+        Ok(Box::new(Scrambled::new(conn, key)))
     }
+}
+
+/// The server's answer to a client hello: the ServerHello frame to send
+/// and the session key. Shared by the blocking and sans-IO servers.
+fn server_hello(sni: &[u8], cert_name: &str) -> (Vec<u8>, u8) {
+    (
+        encode_frame(SERVER_HELLO, cert_name.as_bytes()),
+        derive_key(sni, cert_name.as_bytes()),
+    )
 }
 
 /// Server-side simulated TLS.
@@ -193,18 +231,117 @@ impl TlsServer {
         cert_name: &str,
     ) -> Result<(Box<dyn Connection>, String), TlsError> {
         let sni = read_frame(conn.as_mut(), CLIENT_HELLO)?;
-        write_frame(conn.as_mut(), SERVER_HELLO, cert_name.as_bytes())?;
-        let key = derive_key(&sni, cert_name.as_bytes());
+        let (hello, key) = server_hello(&sni, cert_name);
+        conn.write_all(&hello)?;
         let sni_str = String::from_utf8_lossy(&sni).to_string();
-        Ok((
-            Box::new(Scrambled {
-                inner: conn,
-                key,
-                read_ctr: 0,
-                write_ctr: 0,
-            }),
-            sni_str,
-        ))
+        Ok((Box::new(Scrambled::new(conn, key)), sni_str))
+    }
+
+    /// One sans-IO server handshake step over the bytes buffered so
+    /// far: `Ok(None)` until the whole client hello is in; then the
+    /// ServerHello frame to send, the session key and the number of
+    /// bytes the hello used. Fails exactly where [`TlsServer::accept`]
+    /// would: [`TlsError::NotTls`] as soon as the 8-byte header is
+    /// wrong.
+    fn accept_step(buf: &[u8], cert_name: &str) -> Result<Option<(Vec<u8>, u8, usize)>, TlsError> {
+        if buf.len() < 8 {
+            return Ok(None);
+        }
+        let len = frame_len(&buf[..8], CLIENT_HELLO)?;
+        if buf.len() < 8 + len {
+            return Ok(None);
+        }
+        let (hello, key) = server_hello(&buf[8..8 + len], cert_name);
+        Ok(Some((hello, key, 8 + len)))
+    }
+}
+
+enum TlsState {
+    /// Buffering the client hello.
+    Hello(Vec<u8>),
+    Open {
+        read: Cipher,
+        write: Cipher,
+    },
+    /// Handshake failed; the connection is closed.
+    Failed,
+}
+
+/// Sans-IO simulated TLS in front of an inner [`Session`]: the server
+/// half of [`TlsServer::accept`] as a session. It answers the client
+/// hello, then descrambles input for `inner` and scrambles whatever
+/// `inner` sends, keeping its write boundaries and delays. A broken
+/// handshake (wrong header, or EOF mid-hello) closes without a reply,
+/// as the blocking server's handler would return.
+pub struct TlsServerSession<S> {
+    cert: Arc<str>,
+    state: TlsState,
+    inner: S,
+    plain: Vec<u8>,
+}
+
+impl<S: Session> TlsServerSession<S> {
+    pub fn new(cert: Arc<str>, inner: S) -> TlsServerSession<S> {
+        TlsServerSession {
+            cert,
+            state: TlsState::Hello(Vec::new()),
+            inner,
+            plain: Vec::new(),
+        }
+    }
+
+    /// Descramble `input`, feed it to the inner session and scramble
+    /// its replies in place.
+    fn pass(&mut self, input: &[u8], out: &mut Outbox) {
+        let TlsState::Open { read, write } = &mut self.state else {
+            return;
+        };
+        self.plain.clear();
+        self.plain.extend_from_slice(input);
+        read.apply(&mut self.plain);
+        let mark = out.len();
+        self.inner.feed(&self.plain, out);
+        write.apply(out.bytes_from_mut(mark));
+    }
+}
+
+impl<S: Session> Session for TlsServerSession<S> {
+    fn feed(&mut self, input: &[u8], out: &mut Outbox) {
+        let TlsState::Hello(buf) = &mut self.state else {
+            self.pass(input, out);
+            return;
+        };
+        buf.extend_from_slice(input);
+        match TlsServer::accept_step(buf, &self.cert) {
+            Ok(None) => {}
+            Ok(Some((hello, key, used))) => {
+                let rest = buf.split_off(used);
+                out.send(&hello);
+                self.state = TlsState::Open {
+                    read: Cipher::new(key),
+                    write: Cipher::new(key),
+                };
+                if !rest.is_empty() {
+                    self.pass(&rest, out);
+                }
+            }
+            Err(_) => {
+                self.state = TlsState::Failed;
+                out.close();
+            }
+        }
+    }
+
+    fn finish(&mut self, out: &mut Outbox) {
+        if let TlsState::Open { write, .. } = &mut self.state {
+            let mark = out.len();
+            self.inner.finish(out);
+            write.apply(out.bytes_from_mut(mark));
+        } else {
+            // EOF mid-hello: `accept` fails with UnexpectedEof.
+            self.state = TlsState::Failed;
+            out.close();
+        }
     }
 }
 

@@ -408,8 +408,26 @@ impl VClock {
         if dur == 0 {
             return;
         }
-        let mut st = self.state.lock();
+        let st = self.state.lock();
         let deadline = st.now_us + dur;
+        self.sleep_locked(st, deadline, counted);
+    }
+
+    /// Sleep until the absolute virtual time `deadline_us` (no-op if it
+    /// has passed). `counted` as for [`VClock::sleep_counted`].
+    pub fn sleep_until(&self, deadline_us: u64, counted: bool) {
+        let st = self.state.lock();
+        if deadline_us > st.now_us {
+            self.sleep_locked(st, deadline_us, counted);
+        }
+    }
+
+    fn sleep_locked(
+        &self,
+        mut st: parking_lot::MutexGuard<'_, VState>,
+        deadline: u64,
+        counted: bool,
+    ) {
         let token = self.add_waiter(&mut st, Some(deadline), WaitKind::Sleep, counted, 0);
         self.maybe_advance(&mut st);
         loop {
@@ -519,6 +537,21 @@ impl Clock {
     pub fn notify(&self) {
         if let Clock::Virtual(vc) = self {
             vc.notify_waiters();
+        }
+    }
+
+    /// Block until the absolute time `t_us` (this clock's
+    /// [`ClockSource::now_us`] scale): a virtual sleep, or a real one on
+    /// the wall clock.
+    pub fn sleep_until(&self, t_us: u64) {
+        match self {
+            Clock::Wall => {
+                let now = WallClock.now_us();
+                if t_us > now {
+                    std::thread::sleep(Duration::from_micros(t_us - now));
+                }
+            }
+            Clock::Virtual(vc) => vc.sleep_until(t_us, false),
         }
     }
 
@@ -680,6 +713,16 @@ mod tests {
         let token = clock.prepare_wait(Some(5_000)); // already in the past
         assert_eq!(clock.complete_wait(token), WaitOutcome::TimedOut);
         assert_eq!(clock.now_us(), 10_000, "no extra advance");
+    }
+
+    #[test]
+    fn sleep_until_is_absolute_and_skips_the_past() {
+        let clock = VClock::new();
+        clock.sleep_until(7_000, false);
+        assert_eq!(clock.now_us(), 7_000);
+        clock.sleep_until(3_000, false); // already passed: no advance
+        assert_eq!(clock.now_us(), 7_000);
+        assert_eq!(clock.advance_trace(), vec![(7_000, 1)]);
     }
 
     #[test]

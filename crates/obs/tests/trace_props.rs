@@ -95,13 +95,19 @@ proptest! {
         prop_assert_eq!(begins, ends);
 
         // Worker roots carry their worker index as the label and the
-        // fork edge as the parent.
-        for (w, &c) in root.children.iter().enumerate() {
+        // fork edge as the parent. `Forest` orders children by
+        // `begin_ns`, and workers on different cores open their spans
+        // in any order, so the indices are compared as a set.
+        let mut args = Vec::new();
+        for &c in &root.children {
             let node = &forest.nodes[c];
             prop_assert_eq!(dump.name(node.name_id), "prop/worker");
-            prop_assert_eq!(node.arg, w as u64);
             prop_assert_eq!(node.parent, root.id);
+            args.push(node.arg);
         }
+        args.sort_unstable();
+        let expect: Vec<u64> = (0..programs.len() as u64).collect();
+        prop_assert_eq!(args, expect);
     }
 
     /// The virtual clock is globally monotonic, so every span's sim

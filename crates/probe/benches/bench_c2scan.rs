@@ -7,6 +7,14 @@
 //! one dial and handshake per signature. `resolver_read_path` measures
 //! warm cache hits through `Resolver::resolve_shared` under the shard
 //! read lock.
+//!
+//! `ingress_exchange` isolates one keep-alive request/response — the
+//! unit the C2 scan repeats ~26 × 2 times per candidate: over TLS
+//! against a platform function (the inline ingress), and the same
+//! plain `HttpSession` under the blocking driver (a `SimNet::listen`
+//! handler thread running `serve_connection`) and under the inline
+//! driver (`SimNet::listen_inline`). The last two differ only in the
+//! driver, so their gap is the cost of a handler thread's handoffs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_abuse::c2::{corpus, relay_template};
@@ -14,7 +22,10 @@ use fw_cloud::behavior::Behavior;
 use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use fw_dns::resolver::Resolver;
 use fw_http::client::{ClientConfig, HttpClient, SimDialer};
-use fw_net::SimNet;
+use fw_http::parse::{read_response, write_request, Limits};
+use fw_http::server::{serve_connection, HttpSession, Reply};
+use fw_http::types::{Request, Response};
+use fw_net::{Connection, SimNet};
 use fw_probe::c2probe::C2Scanner;
 use fw_types::{Fqdn, ProviderId, Rdata, RecordType};
 use parking_lot::RwLock;
@@ -129,6 +140,53 @@ fn bench_scan_one(c: &mut Criterion) {
     group.finish();
 }
 
+/// One keep-alive exchange per iteration on a connection opened once.
+fn bench_ingress_exchange(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingress_exchange");
+    group.throughput(Throughput::Elements(1));
+
+    let (platform, net, resolver) = world();
+    let fqdn = deploy_relay(&platform, 0);
+    let addr = relay_addr(&resolver, &fqdn, 443);
+    let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
+    let probe = corpus()[0].probe.to_request(fqdn.as_str());
+    group.bench_function("platform_tls_keepalive", |b| {
+        b.iter(|| {
+            black_box(
+                client
+                    .send(addr, fqdn.as_str(), true, &probe)
+                    .map(|r| r.status),
+            )
+        })
+    });
+
+    let handler = |_req: &Request| Response::text(404, "Not Found");
+    let req = Request::get("/", "fn.example");
+    let exchange = |conn: &mut dyn Connection| {
+        write_request(conn, &req).unwrap();
+        read_response(conn, &Limits::default(), false)
+            .unwrap()
+            .status
+    };
+    let blocking: SocketAddr = "198.18.0.1:80".parse().unwrap();
+    let inline: SocketAddr = "198.18.0.2:80".parse().unwrap();
+    let net = SimNet::new(18);
+    net.listen_fn(blocking, move |mut conn| {
+        serve_connection(conn.as_mut(), &Limits::default(), &handler);
+    });
+    net.listen_inline(inline, move || {
+        Box::new(HttpSession::new(Limits::default(), move |req: &Request| {
+            Reply::from(handler(req))
+        }))
+    });
+    for (name, addr) in [("session_blocking", blocking), ("session_inline", inline)] {
+        let mut conn = net.connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        group.bench_function(name, |b| b.iter(|| black_box(exchange(conn.as_mut()))));
+    }
+    group.finish();
+}
+
 /// Warm-cache resolution through the shard read lock — the path the
 /// prober and C2 scanner take on every lookup after the first.
 fn bench_resolver_read_path(c: &mut Criterion) {
@@ -176,6 +234,7 @@ criterion_group!(
     benches,
     bench_corpus_replay,
     bench_scan_one,
+    bench_ingress_exchange,
     bench_resolver_read_path
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! Active C2 fingerprint scanning (§5.1).
 //!
-//! For each candidate domain, the scanner connects on :443 (falling back
-//! to :80), replays each family's probe payload from the fingerprint
-//! corpus, and matches the responses at the binary level. A relay only
+//! For each candidate domain, the scanner replays each family's probe
+//! payload from the fingerprint corpus on :443 and then on :80 (the
+//! paper's "ports 80/443"), stopping at the first hit; a port whose dial
+//! fails is skipped. Responses are matched at the binary level. A relay only
 //! answers its own family's handshake, so a hit identifies both the relay
 //! and the malware family. This can only find *active* C2 relays — the
 //! paper notes the count is therefore a lower bound.
@@ -81,7 +82,8 @@ impl C2Scanner {
                 ..ClientConfig::default()
             },
         );
-        // Ports 80 and 443, like the paper.
+        // Both ports, like the paper's "ports 80/443": :443 first, then
+        // :80, unless a hit ends the scan.
         for (port, tls) in [(443u16, true), (80u16, false)] {
             let addr = SocketAddr::new(IpAddr::V4(ip), port);
             for sig in self.fingerprints {
