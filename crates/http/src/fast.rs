@@ -16,8 +16,9 @@
 //!   connection;
 //! - consumed messages are compacted lazily at the next read, so
 //!   keep-alive connections reuse one buffer for their whole lifetime
-//!   (and, unlike the scalar parser's per-message `BufConn`, read-ahead
-//!   is carried between messages: pipelined requests are not dropped).
+//!   (and, unlike the blocking `read_request`, which drops what it read
+//!   past one message, read-ahead is carried between messages:
+//!   pipelined requests are not dropped).
 //!
 //! The render helpers at the bottom produce output byte-identical to
 //! [`crate::parse::write_response`] / [`crate::parse::write_request`]
@@ -309,8 +310,8 @@ pub fn read_request_fast(
 }
 
 /// Decode a chunked body starting at `cursor` into
-/// `scratch.chunked_body`, mirroring `BufConn::read_body_chunked`
-/// (including its line-length limits and error messages). Returns the
+/// `scratch.chunked_body`, mirroring the scalar parser's chunked
+/// framing (including its line-length limits and error messages). Returns the
 /// buffer offset one past the terminating CRLF.
 fn read_chunked_into(
     conn: &mut dyn Connection,

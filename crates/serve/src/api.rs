@@ -460,9 +460,8 @@ mod tests {
             "/does/not/exist",
         ];
         // Raw-byte recorder around the client side; exchanges stay
-        // strictly serial (request, then whole response), which is the
-        // only traffic shape either serve loop supports — neither
-        // carries read-ahead across `read_request` calls.
+        // strictly serial (request, then whole response), the traffic
+        // shape of the load harness.
         #[derive(Debug)]
         struct Tap<'c> {
             inner: &'c mut dyn Connection,
