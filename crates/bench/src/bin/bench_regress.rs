@@ -1,6 +1,8 @@
-//! CLI wrapper over [`fw_bench::regress`]: compare a fresh
-//! `pipeline_gate` report against the committed baseline and exit
-//! non-zero on regression (CI wires this after the scale-0.1 gate run).
+//! CLI wrapper over [`fw_obs::gate::compare`]: compare a fresh gate
+//! report (`pipeline_gate`, `fw_stream_gate` or `fw_serve_gate`)
+//! against a committed baseline and exit non-zero on regression. Each
+//! row's direction comes from the report itself: stages and the total
+//! are lower-is-better wall times, metrics carry their own `better`.
 //!
 //! ```text
 //! bench_regress --baseline BENCH_pipeline.json --current BENCH_current.json
@@ -11,66 +13,37 @@
 //! Exit codes: 0 comparison ran and passed, 1 regression detected,
 //! 2 usage or unreadable/shape-mismatched input.
 
-use fw_bench::regress::{compare, RegressConfig};
-use fw_obs::Json;
+use fw_obs::gate::{compare, die, read_report, Args, RegressConfig};
 use std::path::PathBuf;
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn load(path: &PathBuf, what: &str) -> Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read {what} {}: {e}", path.display())));
-    Json::parse(&text)
-        .unwrap_or_else(|e| die(&format!("cannot parse {what} {}: {e}", path.display())))
-}
+const USAGE: &str = "usage: bench_regress --current <report.json> [--baseline <report.json>] [--tolerance <frac>] [--total-tolerance <frac>] [--abs-slack-ms <ms>]";
 
 fn main() {
     let mut baseline = PathBuf::from("BENCH_pipeline.json");
     let mut current: Option<PathBuf> = None;
     let mut config = RegressConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |flag: &str| -> f64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-        };
-        match a.as_str() {
-            "--baseline" => {
-                baseline = PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                );
-            }
-            "--current" => {
-                current = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--current needs a path")),
-                ));
-            }
-            "--tolerance" => config.tolerance = num("--tolerance"),
-            "--total-tolerance" => config.total_tolerance = num("--total-tolerance"),
-            "--abs-slack-ms" => config.abs_slack_ms = num("--abs-slack-ms"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_regress --current <report.json> [--baseline <report.json>] [--tolerance <frac>] [--total-tolerance <frac>] [--abs-slack-ms <ms>]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--baseline" => baseline = args.path(&flag),
+            "--current" => current = Some(args.path(&flag)),
+            "--tolerance" => config.tolerance = args.num(&flag),
+            "--total-tolerance" => config.total_tolerance = args.num(&flag),
+            "--abs-slack-ms" => config.abs_slack_ms = args.num(&flag),
+            _ => args.other(&flag),
         }
     }
     let current = current.unwrap_or_else(|| die("--current <report.json> is required"));
 
-    let base_doc = load(&baseline, "baseline");
-    let cur_doc = load(&current, "candidate");
-    match compare(&base_doc, &cur_doc, &config) {
-        Ok(report) => {
-            print!("{}", report.render_text(&config));
-            std::process::exit(if report.regressed() { 1 } else { 0 });
-        }
-        Err(e) => die(&e),
-    }
+    let load = |path: &PathBuf, what: &str| {
+        read_report(path).unwrap_or_else(|e| die(&format!("{what}: {e}")))
+    };
+    let report = compare(
+        &load(&baseline, "baseline"),
+        &load(&current, "candidate"),
+        &config,
+    )
+    .unwrap_or_else(|e| die(&e));
+    print!("{}", report.render_text(&config));
+    std::process::exit(if report.regressed() { 1 } else { 0 });
 }

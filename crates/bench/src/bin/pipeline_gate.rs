@@ -25,59 +25,29 @@
 //! the deterministic hash-sampled estimator (error bounds printed).
 //!
 //! With `--trace` (or `FW_TRACE=1`), the run records causal span events
-//! (DESIGN.md §13), dumps them next to the report as
-//! `<out stem>.trace.jsonl`, and invokes the `fw_trace_report` sibling
-//! binary to derive the Chrome trace, folded flamegraph stacks and the
-//! critical-path attribution from the dump (falling back to writing
-//! them in-process if the binary is not installed alongside).
+//! (DESIGN.md §13) and writes them next to the report as
+//! `<out stem>.trace.jsonl`, together with the Chrome trace, folded
+//! flamegraph stacks and the critical-path attribution derived from it.
 //!
-//! The JSON report carries per-stage wall time and peak RSS, per-shard
-//! ingest accounting (including flush p99), and a rolling `history`
-//! array (one entry per run, newest last) that `bench_regress` uses as
-//! its baseline series. In fused mode `ingest_rows_per_sec` is derived
-//! from the *overlapped* ingest wall (pipeline start → last shard
-//! sealed) — the serial-stage formula has no meaning when ingest hides
-//! inside generation.
+//! The report (`fw_obs::gate`) carries per-stage wall time and peak RSS,
+//! per-shard ingest accounting (including flush p99), and a rolling
+//! `history` array (one entry per run, newest last) that `bench_regress`
+//! uses as its baseline series. In fused mode `ingest_rows_per_sec` is
+//! derived from the *overlapped* ingest wall (pipeline start → last
+//! shard sealed) — the serial-stage formula has no meaning when ingest
+//! hides inside generation.
 
 use fw_bench::fused::{figures_digest, run_fused, FusedOptions};
 use fw_core::identify::identify_from_aggregates;
 use fw_core::usage::{ingress_table_with, monthly_requests_with, usage_sampled, SampledUsage};
+use fw_obs::gate::{die, num, obj, peak_rss_kb, Args, Gate};
 use fw_obs::Json;
 use fw_store::{stream_snapshot_aggregates, DiskStore, ShardIngestStats};
 use fw_workload::{pdns_content_hash, save_pdns_parallel, SnapshotMeta, World, WorldConfig};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn arg_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-}
-
-/// Peak resident set (VmHWM) in KiB; `None` off Linux or if unreadable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-struct Stage {
-    name: &'static str,
-    ms: f64,
-    /// Process RSS high-water mark at the end of the stage. VmHWM is
-    /// monotonic, so this reads as "the run had peaked at N KiB by the
-    /// time this stage finished", not a per-stage delta.
-    peak_rss_kb: Option<u64>,
-}
-
-/// Everything either pipeline mode hands to the shared report emitter.
+/// Everything either pipeline mode hands back for the report.
 struct Outcome {
-    stages: Vec<Stage>,
     shard_stats: Vec<ShardIngestStats>,
     rows: usize,
     fqdns: usize,
@@ -88,57 +58,6 @@ struct Outcome {
     rows_per_sec: f64,
     /// Fused only: pipeline start → last shard sealed.
     ingest_wall_ms: Option<f64>,
-}
-
-/// How many runs the report's `history` array retains (newest last).
-const HISTORY_CAP: usize = 50;
-
-/// Previous runs recorded in an existing report at `out`, rendered as
-/// compact JSON objects ready to splice into the rewritten file.
-fn prior_history(out: &Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(out) else {
-        return Vec::new();
-    };
-    let Ok(old) = Json::parse(&text) else {
-        eprintln!(
-            "[history] existing {} is not valid JSON; starting a fresh history",
-            out.display()
-        );
-        return Vec::new();
-    };
-    match old.get("history").and_then(Json::as_arr) {
-        Some(entries) => entries.iter().map(Json::render).collect(),
-        None => Vec::new(),
-    }
-}
-
-/// Hand the trace dump to the `fw_trace_report` sibling binary (same
-/// target directory as this gate); if it is missing or fails, derive
-/// the reports in-process instead so `--trace` always yields artifacts.
-fn emit_trace_reports(dump: &fw_obs::TraceDump, trace_path: &Path) {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("fw_trace_report")));
-    if let Some(bin) = sibling {
-        if bin.exists() {
-            match std::process::Command::new(&bin).arg(trace_path).status() {
-                Ok(status) if status.success() => return,
-                Ok(status) => eprintln!("[trace] fw_trace_report exited {status}; falling back"),
-                Err(e) => eprintln!("[trace] cannot spawn {}: {e}; falling back", bin.display()),
-            }
-        }
-    }
-    match fw_obs::write_trace_reports(dump, trace_path) {
-        Ok(paths) => {
-            eprintln!("[trace] chrome trace   -> {}", paths.chrome.display());
-            eprintln!("[trace] folded stacks  -> {}", paths.folded.display());
-            eprintln!("[trace] critical path  -> {}", paths.critpath_txt.display());
-            if let Some(crit) = &paths.crit {
-                eprint!("{}", crit.render_text());
-            }
-        }
-        Err(e) => eprintln!("[trace] cannot write trace reports: {e}"),
-    }
 }
 
 fn print_sample_summary(s: &SampledUsage) {
@@ -155,8 +74,8 @@ fn print_sample_summary(s: &SampledUsage) {
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_staged_mode(
+/// The gate's run parameters, after defaults are resolved.
+struct Params {
     scale: f64,
     seed: u64,
     gen_workers: usize,
@@ -164,29 +83,27 @@ fn run_staged_mode(
     workers: usize,
     shards: usize,
     sample: Option<f64>,
-    store: &Path,
+    store: PathBuf,
     cores: usize,
-) -> Outcome {
-    let mut stages: Vec<Stage> = Vec::new();
+}
+
+fn run_staged_mode(p: &Params, gate: &mut Gate) -> Outcome {
+    let (scale, seed, workers, store) = (p.scale, p.seed, p.workers, p.store.as_path());
 
     // 1. Generate the world (PDNS-only flavor; the usage figures' feed).
-    eprintln!("[generate] scale {scale} seed {seed} gen_workers {gen_workers} (0 = {cores} cores)");
-    let t = Instant::now();
-    let world = {
-        let _s = fw_obs::span("gate/generate");
+    eprintln!(
+        "[generate] scale {scale} seed {seed} gen_workers {} (0 = {} cores)",
+        p.gen_workers, p.cores
+    );
+    let world = gate.stage("generate", || {
         let mut config = WorldConfig::usage(seed, scale);
-        config.gen_workers = gen_workers;
+        config.gen_workers = p.gen_workers;
         World::generate(config)
-    };
-    stages.push(Stage {
-        name: "generate",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     let rows_fnv = pdns_content_hash(&world.pdns);
     eprintln!(
         "[generate] {:.1} ms: {} functions, {} fqdns, {} rows",
-        stages[0].ms,
+        gate.last_ms(),
         world.functions.len(),
         world.pdns.fqdn_count(),
         world.pdns.record_count()
@@ -194,54 +111,40 @@ fn run_staged_mode(
 
     // 2. Ingest into the on-disk store (parallel producers).
     eprintln!(
-        "[ingest] {ingest_workers} producers, {shards} shards -> {}",
+        "[ingest] {} producers, {} shards -> {}",
+        p.ingest_workers,
+        p.shards,
         store.display()
     );
-    let t = Instant::now();
-    let stats = {
-        let _s = fw_obs::span("gate/ingest");
-        save_pdns_parallel(&world.pdns, store, shards, ingest_workers)
+    let stats = gate.stage("ingest", || {
+        save_pdns_parallel(&world.pdns, store, p.shards, p.ingest_workers)
             .unwrap_or_else(|e| die(&format!("ingest failed: {e}")))
-    };
-    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
-    let rows_per_sec = stats.rows as f64 / (ingest_ms / 1e3);
-    stages.push(Stage {
-        name: "ingest",
-        ms: ingest_ms,
-        peak_rss_kb: peak_rss_kb(),
     });
+    let ingest_ms = gate.last_ms();
+    let rows_per_sec = stats.rows as f64 / (ingest_ms / 1e3);
     eprintln!(
         "[ingest] {ingest_ms:.1} ms: {} rows ({rows_per_sec:.0} rows/s)",
         stats.rows
     );
 
     // 3. Identify, reading the snapshot back via the streaming scan.
-    let t = Instant::now();
-    let report = {
-        let _s = fw_obs::span("gate/identify");
+    let report = gate.stage("identify", || {
         let aggs = stream_snapshot_aggregates(store, workers)
             .unwrap_or_else(|e| die(&format!("snapshot scan failed: {e}")));
         identify_from_aggregates(aggs, workers)
-    };
-    stages.push(Stage {
-        name: "identify",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     eprintln!(
         "[identify] {:.1} ms: {} functions identified, {} unmatched",
-        stages[2].ms,
+        gate.last_ms(),
         report.functions.len(),
         report.unmatched
     );
 
     // 4. Usage sweeps (Figure 3 series + Table 2) against the disk store.
-    let t = Instant::now();
-    let (monthly, ingress, sampled) = {
-        let _s = fw_obs::span("gate/usage");
+    let (monthly, ingress, sampled) = gate.stage("usage", || {
         let disk = DiskStore::open_read_only(store)
             .unwrap_or_else(|e| die(&format!("cannot reopen store: {e}")));
-        match sample {
+        match p.sample {
             None => {
                 let series = monthly_requests_with(&report, &disk, workers);
                 let ingress = ingress_table_with(&report, &disk, workers);
@@ -252,15 +155,10 @@ fn run_staged_mode(
                 (s.monthly.clone(), s.ingress.clone(), Some(s))
             }
         }
-    };
-    stages.push(Stage {
-        name: "usage",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     eprintln!(
         "[usage] {:.1} ms: {} months, {} ingress rows",
-        stages[3].ms,
+        gate.last_ms(),
         monthly.months.len(),
         ingress.len()
     );
@@ -270,7 +168,6 @@ fn run_staged_mode(
 
     Outcome {
         figures_fnv: figures_digest(&report, &monthly, &ingress),
-        stages,
         shard_stats: stats.shards,
         rows: stats.rows,
         fqdns: stats.fqdns,
@@ -282,30 +179,31 @@ fn run_staged_mode(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_fused_mode(
-    scale: f64,
-    seed: u64,
-    gen_workers: usize,
-    workers: usize,
-    shards: usize,
-    sample: Option<f64>,
-    store: &Path,
-    cores: usize,
-) -> Outcome {
+fn run_fused_mode(p: &Params, gate: &mut Gate) -> Outcome {
     eprintln!(
-        "[generate_ingest] scale {scale} seed {seed} gen_workers {gen_workers} (0 = {cores} cores), {shards} shards -> {}",
-        store.display()
+        "[generate_ingest] scale {} seed {} gen_workers {} (0 = {} cores), {} shards -> {}",
+        p.scale,
+        p.seed,
+        p.gen_workers,
+        p.cores,
+        p.shards,
+        p.store.display()
     );
-    let mut config = WorldConfig::usage(seed, scale);
-    config.gen_workers = gen_workers;
+    let mut config = WorldConfig::usage(p.seed, p.scale);
+    config.gen_workers = p.gen_workers;
     let opts = FusedOptions {
-        shards,
-        workers,
-        sample,
+        shards: p.shards,
+        workers: p.workers,
+        sample: p.sample,
     };
-    let run =
-        run_fused(config, store, &opts).unwrap_or_else(|e| die(&format!("fused run failed: {e}")));
+    let run = run_fused(config, &p.store, &opts)
+        .unwrap_or_else(|e| die(&format!("fused run failed: {e}")));
+    gate.record(
+        "generate_ingest",
+        run.generate_ingest_ms,
+        run.generate_ingest_rss_kb,
+    );
+    gate.record("seal_analyze", run.seal_analyze_ms, peak_rss_kb());
     let rows_per_sec = run.rows as f64 / (run.ingest_wall_ms / 1e3);
     eprintln!(
         "[generate_ingest] {:.1} ms: {} functions, {} fqdns, {} rows streamed into the store",
@@ -315,8 +213,9 @@ fn run_fused_mode(
         run.rows
     );
     eprintln!(
-        "[seal_analyze] {:.1} ms ({workers} workers): {} identified, {} unmatched, {} months, {} ingress rows; ingest wall {:.1} ms ({rows_per_sec:.0} rows/s)",
+        "[seal_analyze] {:.1} ms ({} workers): {} identified, {} unmatched, {} months, {} ingress rows; ingest wall {:.1} ms ({rows_per_sec:.0} rows/s)",
         run.seal_analyze_ms,
+        p.workers,
         run.report.functions.len(),
         run.report.unmatched,
         run.monthly.months.len(),
@@ -329,18 +228,6 @@ fn run_fused_mode(
 
     Outcome {
         figures_fnv: figures_digest(&run.report, &run.monthly, &run.ingress),
-        stages: vec![
-            Stage {
-                name: "generate_ingest",
-                ms: run.generate_ingest_ms,
-                peak_rss_kb: run.generate_ingest_rss_kb,
-            },
-            Stage {
-                name: "seal_analyze",
-                ms: run.seal_analyze_ms,
-                peak_rss_kb: peak_rss_kb(),
-            },
-        ],
         shard_stats: run.shard_stats,
         rows: run.rows,
         fqdns: run.fqdns,
@@ -352,100 +239,66 @@ fn run_fused_mode(
     }
 }
 
+const USAGE: &str = "usage: pipeline_gate [--scale <f64>] [--seed <u64>] [--gen-workers <n>] [--ingest-workers <n>] [--workers <n>] [--shards <n>] [--staged] [--sample <f64>] [--store <dir>] [--keep-store] [--out <path>] [--metrics] [--trace] [--trace-out <path>]";
+
 fn main() {
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
-    let mut gen_workers = 0usize;
-    let mut ingest_workers = 0usize;
-    let mut workers = 0usize;
-    let mut shards = 16usize;
-    let mut staged = false;
-    let mut sample: Option<f64> = None;
+    let mut p = Params {
+        scale: 1.0,
+        seed: 42,
+        gen_workers: 0,
+        ingest_workers: 0,
+        workers: 0,
+        shards: 16,
+        sample: None,
+        store: PathBuf::new(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    let (mut staged, mut keep_store) = (false, false);
     let mut store_dir: Option<PathBuf> = None;
-    let mut keep_store = false;
-    let mut out = PathBuf::from("BENCH_pipeline.json");
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => scale = arg_num(&mut args, "--scale"),
-            "--seed" => seed = arg_num(&mut args, "--seed"),
-            "--gen-workers" => gen_workers = arg_num(&mut args, "--gen-workers"),
-            "--ingest-workers" => ingest_workers = arg_num(&mut args, "--ingest-workers"),
-            "--workers" => workers = arg_num(&mut args, "--workers"),
-            "--shards" => shards = arg_num(&mut args, "--shards"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => p.scale = args.num(&flag),
+            "--seed" => p.seed = args.num(&flag),
+            "--gen-workers" => p.gen_workers = args.num(&flag),
+            "--ingest-workers" => p.ingest_workers = args.num(&flag),
+            "--workers" => p.workers = args.num(&flag),
+            "--shards" => p.shards = args.num(&flag),
             "--staged" => staged = true,
-            "--sample" => sample = Some(arg_num(&mut args, "--sample")),
-            "--store" => {
-                store_dir = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--store needs a path")),
-                ));
-            }
+            "--sample" => p.sample = Some(args.num(&flag)),
+            "--store" => store_dir = Some(args.path(&flag)),
             "--keep-store" => keep_store = true,
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--metrics" => fw_obs::set_enabled(true),
-            "--trace" => fw_obs::set_trace_enabled(true),
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                ));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: pipeline_gate [--scale <f64>] [--seed <u64>] [--gen-workers <n>] [--ingest-workers <n>] [--workers <n>] [--shards <n>] [--staged] [--sample <f64>] [--store <dir>] [--keep-store] [--out <path>] [--metrics] [--trace] [--trace-out <path>]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
+            _ => args.gate_flag(&flag),
         }
     }
-    if let Some(rate) = sample {
+    if let Some(rate) = p.sample {
         if rate.is_nan() || rate <= 0.0 {
             die("--sample needs a rate in (0, 1]");
         }
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let ingest_workers = if ingest_workers == 0 {
-        cores
-    } else {
-        ingest_workers
-    };
-    let workers = if workers == 0 { cores } else { workers };
-    let store = store_dir.clone().unwrap_or_else(|| {
+    let or_cores = |n: usize| if n == 0 { p.cores } else { n };
+    (p.ingest_workers, p.workers) = (or_cores(p.ingest_workers), or_cores(p.workers));
+    p.store = store_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("fw-pipeline-gate-{}", std::process::id()))
     });
+    let (scale, seed) = (p.scale, p.seed);
+    let mode = if staged { "staged" } else { "fused" };
 
-    let gate_span = fw_obs::span("gate/pipeline");
-    let total_start = Instant::now();
+    let config = obj([
+        ("scale", scale.into()),
+        ("seed", seed.into()),
+        ("mode", mode.into()),
+        ("gen_workers", p.gen_workers.into()),
+        ("ingest_workers", p.ingest_workers.into()),
+        ("workers", p.workers.into()),
+        ("shards", p.shards.into()),
+    ]);
+    let mut gate = Gate::start("pipeline", "BENCH_pipeline.json", config, args);
     let outcome = if staged {
-        run_staged_mode(
-            scale,
-            seed,
-            gen_workers,
-            ingest_workers,
-            workers,
-            shards,
-            sample,
-            &store,
-            cores,
-        )
+        run_staged_mode(&p, &mut gate)
     } else {
-        run_fused_mode(
-            scale,
-            seed,
-            gen_workers,
-            workers,
-            shards,
-            sample,
-            &store,
-            cores,
-        )
+        run_fused_mode(&p, &mut gate)
     };
-    let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-    let rss = peak_rss_kb();
 
     // Manifest for kept stores, so figure binaries can `--snapshot` the
     // gate's output and verify its content hash.
@@ -455,121 +308,38 @@ fn main() {
         live: false,
         rows_fnv: outcome.rows_fnv,
     })
-    .write(&store)
+    .write(&p.store)
     {
         eprintln!("[meta] cannot write world.meta: {e}");
     }
 
-    // Close the root span before draining so its End event is in the
-    // dump (the drain also flushes this thread's buffer).
-    drop(gate_span);
-    let tracing = fw_obs::trace_enabled();
-    let trace_path = trace_out.unwrap_or_else(|| {
-        let stem = out.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        out.with_file_name(format!("{stem}.trace.jsonl"))
+    let shard_json = outcome.shard_stats.iter().map(|sh| {
+        obj([
+            ("shard", sh.shard.into()),
+            ("fqdns", sh.fqdns.into()),
+            ("rows", sh.rows.into()),
+            ("flushes", sh.flushes.into()),
+            ("flush_ms", num(sh.flush_ns as f64 / 1e6, 3)),
+            ("flush_p99_ms", num(sh.flush_p99_ns as f64 / 1e6, 3)),
+            ("bytes_written", sh.bytes_written.into()),
+            ("segments", sh.segments.into()),
+        ])
     });
-    let dump = if tracing {
-        Some(fw_obs::drain_trace())
-    } else {
-        None
-    };
-
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    let rss_json = |kb: Option<u64>| kb.map_or("null".to_string(), |kb| kb.to_string());
-
-    // This run's history entry: the per-stage walls and throughput that
-    // bench_regress compares, one compact object per run. Every `_ms`
-    // key except `unix_ms`/`total_ms` reads as a stage name there, so
-    // the entry carries exactly the stage walls and nothing else.
-    let mut entry = format!(
-        "{{\"unix_ms\": {unix_ms}, \"scale\": {scale}, \"seed\": {seed}, \"workers\": {workers}, \"total_ms\": {total_ms:.3}"
-    );
-    for s in &outcome.stages {
-        entry.push_str(&format!(", \"{}_ms\": {:.3}", s.name, s.ms));
-    }
-    entry.push_str(&format!(
-        ", \"rows\": {}, \"ingest_rows_per_sec\": {:.0}, \"peak_rss_kb\": {}}}",
-        outcome.rows,
-        outcome.rows_per_sec,
-        rss_json(rss)
-    ));
-    let mut history = prior_history(&out);
-    history.push(entry);
-    if history.len() > HISTORY_CAP {
-        let drop_n = history.len() - HISTORY_CAP;
-        history.drain(..drop_n);
-    }
-
-    // Hand-rolled JSON: flat, no escaping needed for the values we emit.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}, \"mode\": \"{}\", \"gen_workers\": {gen_workers}, \"ingest_workers\": {ingest_workers}, \"workers\": {workers}, \"shards\": {shards}}},\n",
-        if staged { "staged" } else { "fused" }
-    ));
-    json.push_str("  \"stages\": {\n");
-    for (i, s) in outcome.stages.iter().enumerate() {
-        let comma = if i + 1 == outcome.stages.len() {
-            ""
-        } else {
-            ","
-        };
-        json.push_str(&format!(
-            "    \"{}\": {{\"ms\": {:.3}, \"peak_rss_kb\": {}}}{comma}\n",
-            s.name,
-            s.ms,
-            rss_json(s.peak_rss_kb)
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"ingest_shards\": [\n");
-    for (i, sh) in outcome.shard_stats.iter().enumerate() {
-        let comma = if i + 1 == outcome.shard_stats.len() {
-            ""
-        } else {
-            ","
-        };
-        json.push_str(&format!(
-            "    {{\"shard\": {}, \"fqdns\": {}, \"rows\": {}, \"flushes\": {}, \"flush_ms\": {:.3}, \"flush_p99_ms\": {:.3}, \"bytes_written\": {}, \"segments\": {}}}{comma}\n",
-            sh.shard,
-            sh.fqdns,
-            sh.rows,
-            sh.flushes,
-            sh.flush_ns as f64 / 1e6,
-            sh.flush_p99_ns as f64 / 1e6,
-            sh.bytes_written,
-            sh.segments
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_ms\": {total_ms:.3},\n"));
+    gate.detail("ingest_shards", Json::Arr(shard_json.collect()));
     if let Some(wall) = outcome.ingest_wall_ms {
-        json.push_str(&format!("  \"ingest_wall_ms\": {wall:.3},\n"));
+        gate.detail("ingest_wall_ms", num(wall, 3));
     }
-    json.push_str(&format!("  \"rows\": {},\n", outcome.rows));
-    json.push_str(&format!("  \"fqdns\": {},\n", outcome.fqdns));
-    json.push_str(&format!("  \"functions\": {},\n", outcome.functions));
-    json.push_str(&format!("  \"identified\": {},\n", outcome.identified));
-    json.push_str(&format!("  \"rows_fnv\": \"{:016x}\",\n", outcome.rows_fnv));
-    json.push_str(&format!(
-        "  \"figures_fnv\": \"{:016x}\",\n",
-        outcome.figures_fnv
-    ));
-    json.push_str(&format!(
-        "  \"ingest_rows_per_sec\": {:.0},\n",
-        outcome.rows_per_sec
-    ));
-    json.push_str(&format!("  \"peak_rss_kb\": {},\n", rss_json(rss)));
-    json.push_str("  \"history\": [\n");
-    for (i, entry) in history.iter().enumerate() {
-        let comma = if i + 1 == history.len() { "" } else { "," };
-        json.push_str(&format!("    {entry}{comma}\n"));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
+    gate.summary("rows", outcome.rows.into());
+    gate.detail("fqdns", outcome.fqdns.into());
+    gate.detail("functions", outcome.functions.into());
+    gate.detail("identified", outcome.identified.into());
+    gate.detail("rows_fnv", format!("{:016x}", outcome.rows_fnv).into());
+    gate.detail(
+        "figures_fnv",
+        format!("{:016x}", outcome.figures_fnv).into(),
+    );
+    gate.summary("ingest_rows_per_sec", num(outcome.rows_per_sec, 0));
+    let done = gate.finish();
 
     // The identity line is mode-independent by construction: CI runs
     // both modes and diffs this one line.
@@ -577,35 +347,16 @@ fn main() {
         "pipeline identity: scale {scale} seed {seed} rows {} rows_fnv={:016x} figures_fnv={:016x}",
         outcome.rows, outcome.rows_fnv, outcome.figures_fnv
     );
-    let stage_summary: Vec<String> = outcome
-        .stages
-        .iter()
-        .map(|s| format!("{} {:.0}", s.name, s.ms))
-        .collect();
+    let stages = done.run.stages.iter();
+    let stage_summary: Vec<String> = stages.map(|s| format!("{} {:.0}", s.name, s.ms)).collect();
     println!(
-        "pipeline gate [{}]: scale {scale} seed {seed} total {total_ms:.0} ms ({}); report -> {}",
-        if staged { "staged" } else { "fused" },
+        "pipeline gate [{mode}]: scale {scale} seed {seed} total {:.0} ms ({}); report -> {}",
+        done.run.total_ms,
         stage_summary.join(" / "),
-        out.display()
+        done.path.display()
     );
 
-    if let Some(dump) = &dump {
-        if let Err(e) = std::fs::write(&trace_path, dump.to_jsonl()) {
-            die(&format!("cannot write {}: {e}", trace_path.display()));
-        }
-        eprintln!(
-            "[trace] {} events ({} dropped) -> {}",
-            dump.events.len(),
-            dump.dropped,
-            trace_path.display()
-        );
-        emit_trace_reports(dump, &trace_path);
-    }
-
     if store_dir.is_none() && !keep_store {
-        let _ = std::fs::remove_dir_all(&store);
-    }
-    if fw_obs::enabled() {
-        eprint!("{}", fw_obs::registry().render_text());
+        let _ = std::fs::remove_dir_all(&p.store);
     }
 }

@@ -87,13 +87,6 @@ pub struct FusedRun {
     pub ingest_wall_ms: f64,
 }
 
-/// Peak resident set (VmHWM) in KiB; `None` off Linux or if unreadable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// Classification verdict for one fqdn: `None` if it matched no
 /// provider pattern, else the provider and optional region.
 type Verdict = Option<(ProviderId, Option<String>)>;
@@ -144,7 +137,7 @@ pub fn run_fused(
         World::generate_into(config, &store)
     };
     let generate_ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let generate_ingest_rss_kb = peak_rss_kb();
+    let generate_ingest_rss_kb = fw_obs::gate::peak_rss_kb();
     let rows = store.record_count();
     let fqdns = store.fqdn_count();
 

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod fused;
-pub mod regress;
 
 use fw_core::abusescan::AbuseScanConfig;
 use fw_core::pipeline::{FullReport, Pipeline, PipelineConfig, UsageReport};

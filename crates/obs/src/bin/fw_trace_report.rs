@@ -6,8 +6,9 @@
 //!
 //! Writes `run.chrome.json` (Perfetto / chrome://tracing), `run.folded`
 //! (flamegraph collapsed stacks) and `run.critpath.{txt,json}` next to
-//! the input, and prints the critical-path table to stdout.
-//! `pipeline_gate --trace` invokes this after draining its sink.
+//! the input, and prints the critical-path table to stdout. The gates
+//! write the same artifacts in-process under `--trace`; this tool
+//! re-renders a saved dump.
 
 use std::process::ExitCode;
 

@@ -4,7 +4,9 @@
 //! [`Counter`]s, [`Gauge`]s and log-bucketed [`Histogram`]s in a global
 //! [`Registry`], hierarchical RAII [`Span`]s that time pipeline stages
 //! against both the wall clock and the sim clock, and text/JSON
-//! exporters suitable for diffing across runs.
+//! exporters suitable for diffing across runs. [`gate`] is the harness
+//! the benchmark gates share, with the one report format they write and
+//! `bench_regress` reads.
 //!
 //! ## Gating
 //!
@@ -32,6 +34,7 @@ mod chrome;
 mod critpath;
 mod flame;
 mod forest;
+pub mod gate;
 mod metric;
 mod registry;
 mod report;

@@ -30,80 +30,27 @@
 //!    a byte), and record per-count qps/latency plus the
 //!    `scale_eff` = qps(max)/qps(1) efficiency ratio.
 //!
-//! Pseudo-stages ride the `{"ms": ...}` stage shape so `bench_regress`
-//! gates them like wall stages: `p50_us`/`p99_us` (microsecond
-//! latencies, lower is better) and `qps`/`hit_rate`/`scale_eff`
-//! (higher is better — the regress tool knows these names). Throughput
-//! is reported both ways: `achieved_qps_wall` (requests over wall time,
+//! Besides the wall-time stages the report carries typed metrics:
+//! `p50_us`/`p99_us` (microsecond latencies, lower is better) and
+//! `qps`/`hit_rate`/`scale_eff` (higher is better). Throughput is
+//! reported both ways: `achieved_qps_wall` (requests over wall time,
 //! the real server-cost figure) and `offered_qps_virtual` (requests
 //! over the virtual arrival window, a property of the schedule alone).
 
+use fw_obs::gate::{die, num, obj, Args, Better, Gate};
 use fw_serve::{CacheConfig, Endpoint, LoadConfig, LoadPlan, LoadReport, ServeApi, ServeState};
 use fw_types::Json;
 use fw_workload::{World, WorldConfig};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn arg_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-}
-
-/// Peak resident set (VmHWM) in KiB; `None` off Linux or if unreadable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-struct Stage {
-    name: &'static str,
-    ms: f64,
-    peak_rss_kb: Option<u64>,
-}
-
-/// How many runs the report's `history` array retains (newest last).
-const HISTORY_CAP: usize = 50;
-
-/// Previous runs recorded in an existing report at `out`, rendered as
-/// compact JSON objects ready to splice into the rewritten file.
-fn prior_history(out: &Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(out) else {
-        return Vec::new();
-    };
-    let Ok(old) = Json::parse(&text) else {
-        eprintln!(
-            "[history] existing {} is not valid JSON; starting a fresh history",
-            out.display()
-        );
-        return Vec::new();
-    };
-    match old.get("history").and_then(Json::as_arr) {
-        Some(entries) => entries.iter().map(Json::render).collect(),
-        None => Vec::new(),
-    }
-}
+use std::time::Duration;
 
 const ADDR: &str = "10.99.0.1:8080";
 
 /// Serving worker counts the `--sweep` matrix exercises.
 const SWEEP_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// One sweep row: the load run repeated at a given serving worker
-/// count over the same frozen state.
-struct SweepRow {
-    serve_workers: usize,
-    report: LoadReport,
-    hit_rate: f64,
-}
+const USAGE: &str = "usage: fw_serve_gate [--clients <n>] [--rpc-max <n>] [--workers <n>] [--serve-workers <n>] [--sweep] [--seed <u64>] [--world-scale <f64>] [--window-s <n>] [--cache-capacity <n>] [--out <path>] [--metrics] [--trace] [--trace-out <path>]";
 
 fn main() {
     let mut clients = 100_000u64;
@@ -115,38 +62,19 @@ fn main() {
     let mut world_scale = 0.1f64;
     let mut window_s = 3600u64;
     let mut cache_capacity = 65_536usize;
-    let mut out = PathBuf::from("BENCH_serve.json");
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--clients" => clients = arg_num(&mut args, "--clients"),
-            "--rpc-max" => rpc_max = arg_num(&mut args, "--rpc-max"),
-            "--workers" => workers = arg_num(&mut args, "--workers"),
-            "--serve-workers" => serve_workers = arg_num(&mut args, "--serve-workers"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--clients" => clients = args.num(&flag),
+            "--rpc-max" => rpc_max = args.num(&flag),
+            "--workers" => workers = args.num(&flag),
+            "--serve-workers" => serve_workers = args.num(&flag),
             "--sweep" => sweep = true,
-            "--seed" => seed = arg_num(&mut args, "--seed"),
-            "--world-scale" => world_scale = arg_num(&mut args, "--world-scale"),
-            "--window-s" => window_s = arg_num(&mut args, "--window-s"),
-            "--cache-capacity" => cache_capacity = arg_num(&mut args, "--cache-capacity"),
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--metrics" => fw_obs::set_enabled(true),
-            "--trace" => fw_obs::set_trace_enabled(true),
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                ));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: fw_serve_gate [--clients <n>] [--rpc-max <n>] [--workers <n>] [--serve-workers <n>] [--sweep] [--seed <u64>] [--world-scale <f64>] [--window-s <n>] [--cache-capacity <n>] [--out <path>] [--metrics] [--trace] [--trace-out <path>]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
+            "--seed" => seed = args.num(&flag),
+            "--world-scale" => world_scale = args.num(&flag),
+            "--window-s" => window_s = args.num(&flag),
+            "--cache-capacity" => cache_capacity = args.num(&flag),
+            _ => args.gate_flag(&flag),
         }
     }
     if clients == 0 {
@@ -165,44 +93,37 @@ fn main() {
     // same way it does for the pipeline gate.
     let scale = clients as f64 / 1e6;
 
-    let gate_span = fw_obs::span("gate/serve");
-    let mut stages: Vec<Stage> = Vec::new();
-    let total_start = Instant::now();
+    let config = obj([
+        ("scale", scale.into()),
+        ("clients", clients.into()),
+        ("seed", seed.into()),
+        ("workers", workers.into()),
+        ("serve_workers", serve_workers.into()),
+        ("rpc_max", rpc_max.into()),
+        ("world_scale", world_scale.into()),
+        ("window_s", window_s.into()),
+        ("cache_capacity", cache_capacity.into()),
+    ]);
+    let mut gate = Gate::start("serve", "BENCH_serve.json", config, args);
 
     // 1. Generate the world whose store the API will serve.
     eprintln!("[generate] world scale {world_scale} seed {seed}");
-    let t = Instant::now();
-    let world = {
-        let _s = fw_obs::span("gate/generate");
+    let world = gate.stage("generate", || {
         World::generate(WorldConfig::usage(seed, world_scale))
-    };
-    stages.push(Stage {
-        name: "generate",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     eprintln!(
         "[generate] {:.1} ms: {} fqdns, {} rows",
-        stages[0].ms,
+        gate.last_ms(),
         world.pdns.fqdn_count(),
         world.pdns.record_count()
     );
 
     // 2. Freeze the store into the queryable snapshot (shared by the
     // main run and every sweep run).
-    let t = Instant::now();
-    let state = {
-        let _s = fw_obs::span("gate/build");
-        Arc::new(ServeState::build(world.pdns, workers))
-    };
-    stages.push(Stage {
-        name: "build",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
-    });
+    let state = gate.stage("build", || Arc::new(ServeState::build(world.pdns, workers)));
     eprintln!(
         "[build] {:.1} ms: {} functions, {} candidates",
-        stages[1].ms,
+        gate.last_ms(),
         state.report().functions.len(),
         state.candidate_count()
     );
@@ -236,14 +157,8 @@ fn main() {
     };
 
     // 3. The main load run.
-    let t = Instant::now();
-    let (report, cache) = run_at(serve_workers, workers);
-    let serve_ms = t.elapsed().as_secs_f64() * 1e3;
-    stages.push(Stage {
-        name: "serve",
-        ms: serve_ms,
-        peak_rss_kb: peak_rss_kb(),
-    });
+    let (report, cache) = gate.stage("serve", || run_at(serve_workers, workers));
+    let serve_ms = gate.last_ms();
     let p50_us = report.latency_percentile_us(50.0);
     let p99_us = report.latency_percentile_us(99.0);
     let qps = report.achieved_qps_wall();
@@ -266,245 +181,110 @@ fn main() {
     // worker counts {1,2,4,8}. Byte-level reproducibility across the
     // matrix is a hard invariant — any digest drift is a bug, not a
     // number to report.
-    let mut sweep_rows: Vec<SweepRow> = Vec::new();
+    let mut sweep_rows: Vec<(f64, Json)> = Vec::new();
     let mut scale_eff = None;
     if sweep {
-        let t = Instant::now();
-        for sw in SWEEP_WORKERS {
-            let (r, c) = run_at(sw, sw);
-            eprintln!(
-                "[sweep] {sw} workers: {:.0} qps, p50 {:.0} us, p99 {:.0} us, hit {:.3}, digest {:016x}",
-                r.achieved_qps_wall(),
-                r.latency_percentile_us(50.0),
-                r.latency_percentile_us(99.0),
-                c.hit_rate(),
-                r.digest
-            );
-            if r.digest != report.digest || r.requests != report.requests {
-                die(&format!(
-                    "sweep at {sw} serving workers diverged: digest {:016x} ({} requests) vs main {:016x} ({} requests) — worker count must never change response bytes",
-                    r.digest, r.requests, report.digest, report.requests
-                ));
-            }
-            sweep_rows.push(SweepRow {
-                serve_workers: sw,
-                report: r,
-                hit_rate: c.hit_rate(),
-            });
-        }
-        let sweep_ms = t.elapsed().as_secs_f64() * 1e3;
-        stages.push(Stage {
-            name: "sweep",
-            ms: sweep_ms,
-            peak_rss_kb: peak_rss_kb(),
+        sweep_rows = gate.stage("sweep", || {
+            SWEEP_WORKERS
+                .iter()
+                .map(|&sw| {
+                    let (r, c) = run_at(sw, sw);
+                    let sw_qps = r.achieved_qps_wall();
+                    let (p50, p99) = (r.latency_percentile_us(50.0), r.latency_percentile_us(99.0));
+                    eprintln!(
+                        "[sweep] {sw} workers: {sw_qps:.0} qps, p50 {p50:.0} us, p99 {p99:.0} us, hit {:.3}, digest {:016x}",
+                        c.hit_rate(),
+                        r.digest
+                    );
+                    if r.digest != report.digest || r.requests != report.requests {
+                        die(&format!(
+                            "sweep at {sw} serving workers diverged: digest {:016x} ({} requests) vs main {:016x} ({} requests) — worker count must never change response bytes",
+                            r.digest, r.requests, report.digest, report.requests
+                        ));
+                    }
+                    let row = obj([
+                        ("serve_workers", sw.into()),
+                        ("qps", num(sw_qps, 0)),
+                        ("p50_us", num(p50, 3)),
+                        ("p99_us", num(p99, 3)),
+                        ("hit_rate", num(c.hit_rate(), 4)),
+                        ("digest", format!("{:016x}", r.digest).into()),
+                        ("requests", r.requests.into()),
+                    ]);
+                    (sw_qps, row)
+                })
+                .collect()
         });
-        let qps_1 = sweep_rows
-            .first()
-            .map_or(0.0, |r| r.report.achieved_qps_wall());
-        let qps_max = sweep_rows
-            .last()
-            .map_or(0.0, |r| r.report.achieved_qps_wall());
+        let qps_1 = sweep_rows.first().map_or(0.0, |r| r.0);
+        let qps_max = sweep_rows.last().map_or(0.0, |r| r.0);
         if qps_1 > 0.0 {
             scale_eff = Some(qps_max / qps_1);
         }
         eprintln!(
-            "[sweep] {sweep_ms:.1} ms; scale_eff (qps@{}w / qps@1w) = {:.3}",
+            "[sweep] {:.1} ms; scale_eff (qps@{}w / qps@1w) = {:.3}",
+            gate.last_ms(),
             SWEEP_WORKERS[SWEEP_WORKERS.len() - 1],
             scale_eff.unwrap_or(f64::NAN)
         );
     }
 
-    let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-    let rss = peak_rss_kb();
-
-    drop(gate_span);
-    let tracing = fw_obs::trace_enabled();
-    let trace_path = trace_out.unwrap_or_else(|| {
-        let stem = out.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        out.with_file_name(format!("{stem}.trace.jsonl"))
-    });
-    let dump = if tracing {
-        Some(fw_obs::drain_trace())
-    } else {
-        None
-    };
-
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    let rss_json = |kb: Option<u64>| kb.map_or("null".to_string(), |kb| kb.to_string());
-    let num_or_null = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.3}")
-        } else {
-            "null".to_string()
-        }
-    };
-
-    let mut entry = format!(
-        "{{\"unix_ms\": {unix_ms}, \"scale\": {scale}, \"clients\": {clients}, \"seed\": {seed}, \"workers\": {workers}, \"serve_workers\": {serve_workers}, \"rpc_max\": {rpc_max}, \"total_ms\": {total_ms:.3}"
+    gate.metric("p50_us", p50_us, "us", Better::Lower);
+    gate.metric("p99_us", p99_us, "us", Better::Lower);
+    gate.metric("qps", qps, "1/s", Better::Higher);
+    if let Some(eff) = scale_eff {
+        gate.metric("scale_eff", eff, "ratio", Better::Higher);
+    }
+    gate.metric("hit_rate", hit_rate, "ratio", Better::Higher);
+    gate.summary("requests", report.requests.into());
+    gate.detail("clients", report.clients.into());
+    gate.detail("qps", num(qps, 0));
+    gate.detail("achieved_qps_wall", num(report.achieved_qps_wall(), 0));
+    gate.detail("offered_qps_virtual", num(report.offered_qps_virtual(), 0));
+    gate.detail("virtual_us", report.virtual_us.into());
+    gate.detail("digest", format!("{:016x}", report.digest).into());
+    gate.detail("response_bytes", report.response_bytes.into());
+    gate.detail(
+        "status",
+        obj([
+            ("ok", report.status_ok.into()),
+            ("not_found", report.status_not_found.into()),
+            ("other", report.status_other.into()),
+        ]),
     );
-    for s in &stages {
-        entry.push_str(&format!(", \"{}_ms\": {:.3}", s.name, s.ms));
-    }
-    entry.push_str(&format!(
-        ", \"p50_us_ms\": {}, \"p99_us_ms\": {}, \"qps_ms\": {qps:.0}, \"hit_rate_ms\": {hit_rate:.4}",
-        num_or_null(p50_us),
-        num_or_null(p99_us)
-    ));
-    if let Some(eff) = scale_eff {
-        entry.push_str(&format!(", \"scale_eff_ms\": {eff:.4}"));
-    }
-    entry.push_str(&format!(
-        ", \"requests\": {}, \"qps\": {qps:.0}, \"hit_rate\": {hit_rate:.4}, \"peak_rss_kb\": {}}}",
-        report.requests,
-        rss_json(rss)
-    ));
-    let mut history = prior_history(&out);
-    history.push(entry);
-    if history.len() > HISTORY_CAP {
-        let drop_n = history.len() - HISTORY_CAP;
-        history.drain(..drop_n);
-    }
-
-    // Hand-rolled JSON, same layout conventions as BENCH_stream.json.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"clients\": {clients}, \"seed\": {seed}, \"workers\": {workers}, \"serve_workers\": {serve_workers}, \"rpc_max\": {rpc_max}, \"world_scale\": {world_scale}, \"window_s\": {window_s}, \"cache_capacity\": {cache_capacity}}},\n"
-    ));
-    json.push_str("  \"stages\": {\n");
-    for s in stages.iter() {
-        json.push_str(&format!(
-            "    \"{}\": {{\"ms\": {:.3}, \"peak_rss_kb\": {}}},\n",
-            s.name,
-            s.ms,
-            rss_json(s.peak_rss_kb)
-        ));
-    }
-    // Pseudo-stages riding the {"ms": ...} stage shape so bench_regress
-    // gates them: microsecond latencies (lower is better) and
-    // throughput/ratio figures (higher is better — bench_regress keys
-    // off these stage names).
-    json.push_str(&format!(
-        "    \"p50_us\": {{\"ms\": {}, \"peak_rss_kb\": null}},\n",
-        num_or_null(p50_us)
-    ));
-    json.push_str(&format!(
-        "    \"p99_us\": {{\"ms\": {}, \"peak_rss_kb\": null}},\n",
-        num_or_null(p99_us)
-    ));
-    json.push_str(&format!(
-        "    \"qps\": {{\"ms\": {qps:.0}, \"peak_rss_kb\": null}},\n"
-    ));
-    if let Some(eff) = scale_eff {
-        json.push_str(&format!(
-            "    \"scale_eff\": {{\"ms\": {eff:.4}, \"peak_rss_kb\": null}},\n"
-        ));
-    }
-    json.push_str(&format!(
-        "    \"hit_rate\": {{\"ms\": {hit_rate:.4}, \"peak_rss_kb\": null}}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"total_ms\": {total_ms:.3},\n"));
-    json.push_str(&format!("  \"requests\": {},\n", report.requests));
-    json.push_str(&format!("  \"clients\": {},\n", report.clients));
-    json.push_str(&format!("  \"qps\": {qps:.0},\n"));
-    json.push_str(&format!(
-        "  \"achieved_qps_wall\": {:.0},\n",
-        report.achieved_qps_wall()
-    ));
-    json.push_str(&format!(
-        "  \"offered_qps_virtual\": {:.0},\n",
-        report.offered_qps_virtual()
-    ));
-    json.push_str(&format!("  \"virtual_us\": {},\n", report.virtual_us));
-    json.push_str(&format!("  \"digest\": \"{:016x}\",\n", report.digest));
-    json.push_str(&format!(
-        "  \"response_bytes\": {},\n",
-        report.response_bytes
-    ));
-    json.push_str(&format!(
-        "  \"status\": {{\"ok\": {}, \"not_found\": {}, \"other\": {}}},\n",
-        report.status_ok, report.status_not_found, report.status_other
-    ));
-    json.push_str("  \"endpoints\": {");
-    for (i, ep) in Endpoint::ALL.iter().enumerate() {
-        let comma = if i + 1 == Endpoint::ALL.len() {
-            ""
-        } else {
-            ", "
-        };
-        json.push_str(&format!(
-            "\"{}\": {}{comma}",
-            ep.label(),
-            report.endpoint_counts[i]
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}, \"admit_accept\": {}, \"admit_reject\": {}, \"hit_rate\": {hit_rate:.4}}},\n",
-        cache.hits, cache.misses, cache.evictions, cache.entries, cache.admit_accept, cache.admit_reject
-    ));
+    let endpoints = Endpoint::ALL
+        .iter()
+        .zip(&report.endpoint_counts)
+        .map(|(ep, &n)| (ep.label().to_string(), n.into()));
+    gate.detail("endpoints", Json::Obj(endpoints.collect()));
+    gate.detail(
+        "cache",
+        obj([
+            ("hits", cache.hits.into()),
+            ("misses", cache.misses.into()),
+            ("evictions", cache.evictions.into()),
+            ("entries", cache.entries.into()),
+            ("admit_accept", cache.admit_accept.into()),
+            ("admit_reject", cache.admit_reject.into()),
+            ("hit_rate", num(hit_rate, 4)),
+        ]),
+    );
     if !sweep_rows.is_empty() {
-        json.push_str("  \"sweep\": [\n");
-        for (i, row) in sweep_rows.iter().enumerate() {
-            let comma = if i + 1 == sweep_rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"serve_workers\": {}, \"qps\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, \"hit_rate\": {:.4}, \"digest\": \"{:016x}\", \"requests\": {}}}{comma}\n",
-                row.serve_workers,
-                row.report.achieved_qps_wall(),
-                num_or_null(row.report.latency_percentile_us(50.0)),
-                num_or_null(row.report.latency_percentile_us(99.0)),
-                row.hit_rate,
-                row.report.digest,
-                row.report.requests
-            ));
-        }
-        json.push_str("  ],\n");
+        let rows = sweep_rows.into_iter().map(|(_, row)| row);
+        gate.detail("sweep", Json::Arr(rows.collect()));
         if let Some(eff) = scale_eff {
-            json.push_str(&format!("  \"scale_eff\": {eff:.4},\n"));
+            gate.detail("scale_eff", num(eff, 4));
         }
     }
-    json.push_str(&format!("  \"peak_rss_kb\": {},\n", rss_json(rss)));
-    json.push_str("  \"history\": [\n");
-    for (i, entry) in history.iter().enumerate() {
-        let comma = if i + 1 == history.len() { "" } else { "," };
-        json.push_str(&format!("    {entry}{comma}\n"));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
+    let done = gate.finish();
 
+    let ms = |i: usize| done.run.stages[i].ms;
     println!(
-        "serve gate: {clients} clients seed {seed} over {serve_workers} serving workers, total {total_ms:.0} ms (generate {:.0} / build {:.0} / serve {:.0}); {qps:.0} qps, p50 {p50_us:.0} us, p99 {p99_us:.0} us, hit rate {hit_rate:.3}, digest {:016x}; report -> {}",
-        stages[0].ms,
-        stages[1].ms,
-        stages[2].ms,
+        "serve gate: {clients} clients seed {seed} over {serve_workers} serving workers, total {:.0} ms (generate {:.0} / build {:.0} / serve {:.0}); {qps:.0} qps, p50 {p50_us:.0} us, p99 {p99_us:.0} us, hit rate {hit_rate:.3}, digest {:016x}; report -> {}",
+        done.run.total_ms,
+        ms(0),
+        ms(1),
+        ms(2),
         report.digest,
-        out.display()
+        done.path.display()
     );
-
-    if let Some(dump) = &dump {
-        if let Err(e) = std::fs::write(&trace_path, dump.to_jsonl()) {
-            die(&format!("cannot write {}: {e}", trace_path.display()));
-        }
-        eprintln!(
-            "[trace] {} events ({} dropped) -> {}",
-            dump.events.len(),
-            dump.dropped,
-            trace_path.display()
-        );
-        match fw_obs::write_trace_reports(dump, &trace_path) {
-            Ok(paths) => {
-                eprintln!("[trace] chrome trace  -> {}", paths.chrome.display());
-                eprintln!("[trace] folded stacks -> {}", paths.folded.display());
-                eprintln!("[trace] critical path -> {}", paths.critpath_txt.display());
-            }
-            Err(e) => eprintln!("[trace] cannot write trace reports: {e}"),
-        }
-    }
-    if fw_obs::enabled() {
-        eprint!("{}", fw_obs::registry().render_text());
-    }
 }

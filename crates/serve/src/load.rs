@@ -144,13 +144,6 @@ impl LoadReport {
         self.latencies_us[rank.clamp(1, self.latencies_us.len()) - 1] as f64
     }
 
-    /// Sustained wall-clock throughput (alias of
-    /// [`LoadReport::achieved_qps_wall`], kept for callers that predate
-    /// the offered/achieved split).
-    pub fn qps(&self) -> f64 {
-        self.achieved_qps_wall()
-    }
-
     /// Achieved throughput: requests over the *wall* time the run took.
     /// This is the figure that measures real server cost.
     pub fn achieved_qps_wall(&self) -> f64 {

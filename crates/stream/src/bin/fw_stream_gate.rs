@@ -32,65 +32,18 @@
 //! the batch that flagged it, reported as p50/p99 plus coverage
 //! (families whose campaigns never cross the candidate gate show up as
 //! `detected < total`, not as silent omissions). The `detect_p50` /
-//! `detect_p99` pseudo-stages carry those latencies (in virtual
-//! milliseconds — fully deterministic for a given scale/seed) through
-//! the `history` array, so `bench_regress` gates on detection-latency
-//! regressions exactly like wall-time regressions.
+//! `detect_p99` metrics carry those latencies in virtual milliseconds
+//! (fully deterministic for a given scale/seed, lower is better), so
+//! `bench_regress` gates on detection-latency regressions exactly like
+//! wall-time regressions.
 
+use fw_obs::gate::{die, num, obj, Args, Better, Gate};
 use fw_stream::{
     check_equivalence, collect_rows, day_batches, replay_in_memory, Detection, StreamConfig, DAY_US,
 };
 use fw_types::{Fqdn, Json};
 use fw_workload::{AbuseCase, World, WorldConfig};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn arg_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-}
-
-/// Peak resident set (VmHWM) in KiB; `None` off Linux or if unreadable.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-struct Stage {
-    name: &'static str,
-    ms: f64,
-    peak_rss_kb: Option<u64>,
-}
-
-/// How many runs the report's `history` array retains (newest last).
-const HISTORY_CAP: usize = 50;
-
-/// Previous runs recorded in an existing report at `out`, rendered as
-/// compact JSON objects ready to splice into the rewritten file.
-fn prior_history(out: &Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(out) else {
-        return Vec::new();
-    };
-    let Ok(old) = Json::parse(&text) else {
-        eprintln!(
-            "[history] existing {} is not valid JSON; starting a fresh history",
-            out.display()
-        );
-        return Vec::new();
-    };
-    match old.get("history").and_then(Json::as_arr) {
-        Some(entries) => entries.iter().map(Json::render).collect(),
-        None => Vec::new(),
-    }
-}
 
 /// Percentile over a sorted slice (nearest-rank).
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -144,38 +97,21 @@ fn family_table(world: &World, detections: &[Detection]) -> Vec<FamilyStats> {
         .collect()
 }
 
+const USAGE: &str = "usage: fw_stream_gate [--scale <f64>] [--seed <u64>] [--batches-per-day <n>] [--workers <n>] [--out <path>] [--metrics] [--trace] [--trace-out <path>]";
+
 fn main() {
     let mut scale = 0.1f64;
     let mut seed = 42u64;
     let mut batches_per_day = 1u32;
     let mut workers = 0usize;
-    let mut out = PathBuf::from("BENCH_stream.json");
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => scale = arg_num(&mut args, "--scale"),
-            "--seed" => seed = arg_num(&mut args, "--seed"),
-            "--batches-per-day" => batches_per_day = arg_num(&mut args, "--batches-per-day"),
-            "--workers" => workers = arg_num(&mut args, "--workers"),
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            "--metrics" => fw_obs::set_enabled(true),
-            "--trace" => fw_obs::set_trace_enabled(true),
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                ));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: fw_stream_gate [--scale <f64>] [--seed <u64>] [--batches-per-day <n>] [--workers <n>] [--out <path>] [--metrics] [--trace] [--trace-out <path>]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => scale = args.num(&flag),
+            "--seed" => seed = args.num(&flag),
+            "--batches-per-day" => batches_per_day = args.num(&flag),
+            "--workers" => workers = args.num(&flag),
+            _ => args.gate_flag(&flag),
         }
     }
     if batches_per_day == 0 {
@@ -184,45 +120,35 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = if workers == 0 { cores } else { workers };
 
-    let gate_span = fw_obs::span("gate/stream");
-    let mut stages: Vec<Stage> = Vec::new();
-    let total_start = Instant::now();
+    let config = obj([
+        ("scale", scale.into()),
+        ("seed", seed.into()),
+        ("workers", workers.into()),
+        ("batches_per_day", batches_per_day.into()),
+    ]);
+    let mut gate = Gate::start("stream", "BENCH_stream.json", config, args);
 
     // 1. Generate the world the daemon will sense.
     eprintln!("[generate] scale {scale} seed {seed}");
-    let t = Instant::now();
-    let world = {
-        let _s = fw_obs::span("gate/generate");
+    let world = gate.stage("generate", || {
         World::generate(WorldConfig::usage(seed, scale))
-    };
-    stages.push(Stage {
-        name: "generate",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     eprintln!(
         "[generate] {:.1} ms: {} functions, {} fqdns, {} rows",
-        stages[0].ms,
+        gate.last_ms(),
         world.functions.len(),
         world.pdns.fqdn_count(),
         world.pdns.record_count()
     );
 
     // 2. Flatten into time-ordered rows and cut watermarked batches.
-    let t = Instant::now();
-    let batches = {
-        let _s = fw_obs::span("gate/prepare");
+    let batches = gate.stage("prepare", || {
         day_batches(&collect_rows(&world.pdns), batches_per_day)
-    };
-    let row_count: u64 = batches.iter().map(|b| b.rows.len() as u64).sum();
-    stages.push(Stage {
-        name: "prepare",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
+    let row_count: u64 = batches.iter().map(|b| b.rows.len() as u64).sum();
     eprintln!(
         "[prepare] {:.1} ms: {} batches ({batches_per_day}/day), {row_count} rows",
-        stages[1].ms,
+        gate.last_ms(),
         batches.len()
     );
 
@@ -232,15 +158,9 @@ fn main() {
         batches_per_day,
         ..StreamConfig::default()
     };
-    let t = Instant::now();
-    let result = replay_in_memory(batches, &config, seed);
-    let stream_ms = t.elapsed().as_secs_f64() * 1e3;
+    let result = gate.stage("stream", || replay_in_memory(batches, &config, seed));
+    let stream_ms = gate.last_ms();
     let rows_per_sec = row_count as f64 / (stream_ms / 1e3);
-    stages.push(Stage {
-        name: "stream",
-        ms: stream_ms,
-        peak_rss_kb: peak_rss_kb(),
-    });
     let cp = result.final_state.checkpoint;
     let virtual_days = result.virtual_us as f64 / DAY_US as f64;
     eprintln!(
@@ -249,21 +169,14 @@ fn main() {
     );
 
     // 4. Verify streaming ↔ batch equivalence — the CI diff.
-    let t = Instant::now();
-    {
-        let _s = fw_obs::span("gate/verify");
+    gate.stage("verify", || {
         if let Err(e) = check_equivalence(&result.final_state, &world.pdns, workers) {
             die(&format!("streaming/batch equivalence FAILED: {e}"));
         }
-    }
-    stages.push(Stage {
-        name: "verify",
-        ms: t.elapsed().as_secs_f64() * 1e3,
-        peak_rss_kb: peak_rss_kb(),
     });
     eprintln!(
         "[verify] {:.1} ms: daemon end state == batch pipeline ({} functions, {} unmatched)",
-        stages[3].ms,
+        gate.last_ms(),
         result.final_state.report.functions.len(),
         result.final_state.report.unmatched
     );
@@ -308,148 +221,41 @@ fn main() {
         }
     }
 
-    let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-    let rss = peak_rss_kb();
-
-    drop(gate_span);
-    let tracing = fw_obs::trace_enabled();
-    let trace_path = trace_out.unwrap_or_else(|| {
-        let stem = out.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        out.with_file_name(format!("{stem}.trace.jsonl"))
+    // Detection latencies in virtual milliseconds, deterministic per
+    // (scale, seed).
+    let vms = |days: f64| days * 86_400_000.0;
+    let lower = Better::Lower;
+    gate.metric("detect_p50", vms(detect_p50_days), "virtual_ms", lower);
+    gate.metric("detect_p99", vms(detect_p99_days), "virtual_ms", lower);
+    gate.summary("rows", row_count.into());
+    gate.detail("virtual_days", num(virtual_days, 3));
+    gate.detail("wire_bytes", result.wire_bytes.into());
+    gate.summary("stream_rows_per_sec", num(rows_per_sec, 0));
+    gate.detail("checkpoint", cp.to_json());
+    gate.detail(
+        "abuse",
+        obj([
+            ("total", abuse_total.into()),
+            ("detected", abuse_detected.into()),
+            ("p50_days", num(detect_p50_days, 3)),
+            ("p99_days", num(detect_p99_days, 3)),
+        ]),
+    );
+    let family_json = families.iter().map(|f| {
+        obj([
+            ("family", f.case.label().into()),
+            ("total", f.total.into()),
+            ("detected", f.detected.into()),
+            ("p50_days", num(f.p50_days, 3)),
+            ("p99_days", num(f.p99_days, 3)),
+        ])
     });
-    let dump = if tracing {
-        Some(fw_obs::drain_trace())
-    } else {
-        None
-    };
+    gate.detail("families", Json::Arr(family_json.collect()));
+    let done = gate.finish();
 
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    let rss_json = |kb: Option<u64>| kb.map_or("null".to_string(), |kb| kb.to_string());
-    let num_or_null = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.3}")
-        } else {
-            "null".to_string()
-        }
-    };
-    // Detection latencies restated in *virtual milliseconds* so they
-    // ride the history's `*_ms` convention and bench_regress gates on
-    // them like any stage wall time. Deterministic per (scale, seed).
-    let detect_p50_ms = detect_p50_days * 86_400_000.0;
-    let detect_p99_ms = detect_p99_days * 86_400_000.0;
-
-    let mut entry = format!(
-        "{{\"unix_ms\": {unix_ms}, \"scale\": {scale}, \"seed\": {seed}, \"workers\": {workers}, \"batches_per_day\": {batches_per_day}, \"total_ms\": {total_ms:.3}"
-    );
-    for s in &stages {
-        entry.push_str(&format!(", \"{}_ms\": {:.3}", s.name, s.ms));
-    }
-    entry.push_str(&format!(
-        ", \"detect_p50_ms\": {}, \"detect_p99_ms\": {}",
-        num_or_null(detect_p50_ms),
-        num_or_null(detect_p99_ms)
-    ));
-    entry.push_str(&format!(
-        ", \"rows\": {row_count}, \"stream_rows_per_sec\": {rows_per_sec:.0}, \"peak_rss_kb\": {}}}",
-        rss_json(rss)
-    ));
-    let mut history = prior_history(&out);
-    history.push(entry);
-    if history.len() > HISTORY_CAP {
-        let drop_n = history.len() - HISTORY_CAP;
-        history.drain(..drop_n);
-    }
-
-    // Hand-rolled JSON, same layout conventions as BENCH_pipeline.json.
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}, \"workers\": {workers}, \"batches_per_day\": {batches_per_day}}},\n"
-    ));
-    json.push_str("  \"stages\": {\n");
-    for s in stages.iter() {
-        json.push_str(&format!(
-            "    \"{}\": {{\"ms\": {:.3}, \"peak_rss_kb\": {}}},\n",
-            s.name,
-            s.ms,
-            rss_json(s.peak_rss_kb)
-        ));
-    }
-    // Virtual-time pseudo-stages: deterministic detection latencies in
-    // the same {"ms": ...} shape so bench_regress sees them as stages.
-    json.push_str(&format!(
-        "    \"detect_p50\": {{\"ms\": {}, \"peak_rss_kb\": null}},\n",
-        num_or_null(detect_p50_ms)
-    ));
-    json.push_str(&format!(
-        "    \"detect_p99\": {{\"ms\": {}, \"peak_rss_kb\": null}}\n",
-        num_or_null(detect_p99_ms)
-    ));
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"total_ms\": {total_ms:.3},\n"));
-    json.push_str(&format!("  \"rows\": {row_count},\n"));
-    json.push_str(&format!("  \"virtual_days\": {virtual_days:.3},\n"));
-    json.push_str(&format!("  \"wire_bytes\": {},\n", result.wire_bytes));
-    json.push_str(&format!("  \"stream_rows_per_sec\": {rows_per_sec:.0},\n"));
-    json.push_str(&format!(
-        "  \"checkpoint\": {},\n",
-        result.final_state.checkpoint.to_json().render()
-    ));
-    json.push_str(&format!(
-        "  \"abuse\": {{\"total\": {abuse_total}, \"detected\": {abuse_detected}, \"p50_days\": {}, \"p99_days\": {}}},\n",
-        num_or_null(detect_p50_days),
-        num_or_null(detect_p99_days)
-    ));
-    json.push_str("  \"families\": [\n");
-    for (i, f) in families.iter().enumerate() {
-        let comma = if i + 1 == families.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"family\": {}, \"total\": {}, \"detected\": {}, \"p50_days\": {}, \"p99_days\": {}}}{comma}\n",
-            fw_types::Json::Str(f.case.label().to_string()).render(),
-            f.total,
-            f.detected,
-            num_or_null(f.p50_days),
-            num_or_null(f.p99_days)
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"peak_rss_kb\": {},\n", rss_json(rss)));
-    json.push_str("  \"history\": [\n");
-    for (i, entry) in history.iter().enumerate() {
-        let comma = if i + 1 == history.len() { "" } else { "," };
-        json.push_str(&format!("    {entry}{comma}\n"));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(&out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-
+    let ms = |i: usize| done.run.stages[i].ms;
     println!(
-        "stream gate: scale {scale} seed {seed} total {total_ms:.0} ms (generate {:.0} / prepare {:.0} / stream {:.0} / verify {:.0}); {rows_per_sec:.0} rows/s, detect p50 {detect_p50_days:.1} d; report -> {}",
-        stages[0].ms, stages[1].ms, stages[2].ms, stages[3].ms, out.display()
+        "stream gate: scale {scale} seed {seed} total {:.0} ms (generate {:.0} / prepare {:.0} / stream {:.0} / verify {:.0}); {rows_per_sec:.0} rows/s, detect p50 {detect_p50_days:.1} d; report -> {}",
+        done.run.total_ms, ms(0), ms(1), ms(2), ms(3), done.path.display()
     );
-
-    if let Some(dump) = &dump {
-        if let Err(e) = std::fs::write(&trace_path, dump.to_jsonl()) {
-            die(&format!("cannot write {}: {e}", trace_path.display()));
-        }
-        eprintln!(
-            "[trace] {} events ({} dropped) -> {}",
-            dump.events.len(),
-            dump.dropped,
-            trace_path.display()
-        );
-        match fw_obs::write_trace_reports(dump, &trace_path) {
-            Ok(paths) => {
-                eprintln!("[trace] chrome trace  -> {}", paths.chrome.display());
-                eprintln!("[trace] folded stacks -> {}", paths.folded.display());
-                eprintln!("[trace] critical path -> {}", paths.critpath_txt.display());
-            }
-            Err(e) => eprintln!("[trace] cannot write trace reports: {e}"),
-        }
-    }
-    if fw_obs::enabled() {
-        eprint!("{}", fw_obs::registry().render_text());
-    }
 }

@@ -1,9 +1,10 @@
 //! A minimal JSON value parser and renderer.
 //!
-//! The workspace writes most of its JSON by hand (registry export,
-//! bench reports, trace dumps) but several consumers also need to
-//! *read* it back: the trace reporter, the bench regression gate, and
-//! the streaming daemon's checkpoint/status format. This is the one
+//! The workspace writes some of its JSON by hand (registry export,
+//! trace dumps) and builds the rest as [`Json`] values (gate reports,
+//! the streaming daemon's checkpoint/status format); several consumers
+//! also need to *read* it back: the trace reporter, the bench
+//! regression gate, and the daemon's checkpoint. This is the one
 //! shared implementation — a strict recursive-descent parser over the
 //! full JSON grammar, small enough to audit, with the handful of
 //! accessors the consumers use. No serde in the vendored dependency
@@ -12,14 +13,38 @@
 
 /// A parsed JSON value. Object keys keep insertion order (duplicates:
 /// last one wins on [`Json::get`] lookups — matching serde_json).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Json {
+    #[default]
     Null,
     Bool(bool),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+}
+
+macro_rules! json_from_num {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+json_from_num!(f64, u64, u32, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
 }
 
 impl Json {
@@ -93,9 +118,9 @@ impl Json {
     }
 
     /// Compact serialization (no whitespace). Round-trips through
-    /// [`Json::parse`]; the bench regression gate uses it to carry
-    /// history entries from an old report into a rewritten one, and
-    /// the streaming daemon uses it for checkpoint/status documents.
+    /// [`Json::parse`]; the streaming daemon uses it for
+    /// checkpoint/status documents, and the gate report writer for its
+    /// scalars.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
