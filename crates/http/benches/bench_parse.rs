@@ -1,5 +1,7 @@
-//! Request-parse microbenchmarks: the scalar incremental parser vs the
-//! SWAR in-place fast parser, over identical wire bytes.
+//! Request-parse microbenchmarks: the two drivers of the one HTTP/1.1
+//! grammar over identical wire bytes — the owned `read_request` (fresh
+//! buffer and `String`s per message) vs `read_request_fast` (spans into
+//! a reused `Scratch`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fw_http::fast::{read_request_fast, Scratch};
@@ -91,18 +93,18 @@ fn bench_parse(c: &mut Criterion) {
         let group_name = format!("http_parse/{name}");
         let mut g = c.benchmark_group(&group_name);
         g.throughput(Throughput::Bytes(wire.len() as u64));
-        let mut scalar_conn = LoopConn::new(wire.clone());
-        g.bench_function("scalar", |b| {
+        let mut owned_conn = LoopConn::new(wire.clone());
+        g.bench_function("owned", |b| {
             b.iter(|| {
-                let req = read_request(&mut scalar_conn, &limits).unwrap();
+                let req = read_request(&mut owned_conn, &limits).unwrap();
                 black_box(req.target.len())
             })
         });
-        let mut fast_conn = LoopConn::new(wire.clone());
+        let mut scratch_conn = LoopConn::new(wire.clone());
         let mut scratch = Scratch::new();
-        g.bench_function("swar", |b| {
+        g.bench_function("scratch", |b| {
             b.iter(|| {
-                let req = read_request_fast(&mut fast_conn, &mut scratch, &limits).unwrap();
+                let req = read_request_fast(&mut scratch_conn, &mut scratch, &limits).unwrap();
                 black_box(scratch.target(&req).len())
             })
         });

@@ -7,11 +7,11 @@
 //! * [`types`] — methods, status codes, case-insensitive header map,
 //!   request/response representations.
 //! * [`url`] — `http(s)://host[:port]/path?query` parsing.
-//! * [`parse`] — message framing over buffered bytes with size limits,
-//!   body framing via `Content-Length`, `Transfer-Encoding: chunked`, or
-//!   read-to-EOF.
-//! * [`fast`] — the allocation-free in-place parser + renderer used by
-//!   the fw-serve hot path, proptested equivalent to [`parse`].
+//! * [`parse`] — the one HTTP/1.1 framing grammar over buffered bytes,
+//!   with size limits and body framing via `Content-Length`,
+//!   `Transfer-Encoding: chunked`, or read-to-EOF.
+//! * [`fast`] — the fw-serve hot path: the same grammar over a reusable
+//!   receive buffer, without per-message allocations, plus renderers.
 //! * [`client`] — request serialization + response reading with deadlines,
 //!   over any [`Dialer`] (simulated network or real TCP).
 //! * [`server`] — the keep-alive serve loop as a sans-IO session, run

@@ -1,7 +1,7 @@
 //! Property tests: HTTP serialization/parse round-trips and parser
 //! robustness under arbitrary and mutated inputs.
 
-use fw_http::fast::{read_request_fast, Scratch};
+use fw_http::fast::{read_request_fast, read_response_fast, Scratch};
 use fw_http::parse::{
     read_request, read_response, write_request, write_response, write_response_chunked, HttpError,
     Limits,
@@ -125,6 +125,75 @@ fn assert_request_parsers_agree(bytes: &[u8], limits: &Limits) -> Result<(), Tes
         ),
     }
     Ok(())
+}
+
+/// Feed `bytes` to both response readers (each on its own closed pipe)
+/// and assert they agree: the same status and body length, or the same
+/// error variant and message.
+fn assert_response_parsers_agree(bytes: &[u8], limits: &Limits) -> Result<(), TestCaseError> {
+    let (mut a, mut b) = pair();
+    let _ = a.write_all(bytes);
+    a.shutdown_write();
+    let scalar = read_response(&mut b, limits, false);
+
+    let (mut c, mut d) = pair();
+    let _ = c.write_all(bytes);
+    c.shutdown_write();
+    let mut scratch = Scratch::new();
+    let fast = read_response_fast(&mut d, &mut scratch, limits);
+
+    match (&scalar, &fast) {
+        (Ok(s), Ok(f)) => {
+            prop_assert_eq!(s.status, f.status);
+            prop_assert_eq!(s.body.len(), f.body_len);
+        }
+        (Err(se), Err(fe)) => prop_assert_eq!(err_key(se), err_key(fe)),
+        (s, f) => prop_assert!(
+            false,
+            "scalar {:?} vs fast {:?}",
+            s.as_ref().map(|r| r.status).map_err(err_key),
+            f.as_ref().map(|r| r.status).map_err(err_key)
+        ),
+    }
+    Ok(())
+}
+
+/// The wire bytes of `resp`: `Content-Length` framed when `chunk` is 0,
+/// else chunked in `chunk`-byte pieces.
+fn response_wire(resp: &Response, chunk: usize) -> Vec<u8> {
+    let (mut a, mut probe) = pair();
+    match chunk {
+        0 => write_response(&mut a, resp).unwrap(),
+        n => write_response_chunked(&mut a, resp, n).unwrap(),
+    }
+    a.shutdown_write();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match probe.read(&mut buf).unwrap() {
+            0 => break,
+            n => raw.extend_from_slice(&buf[..n]),
+        }
+    }
+    raw
+}
+
+/// Responses the two readers once framed differently: the scratch
+/// reader parsed `Content-Length` before it knew whether the body was
+/// chunked or absent.
+#[test]
+fn response_readers_agree_when_content_length_is_not_used() {
+    for wire in [
+        &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: zz\r\n\r\n2\r\nok\r\n0\r\n\r\n"[..],
+        b"HTTP/1.1 204 No Content\r\nContent-Length: zz\r\n\r\n",
+    ] {
+        assert_response_parsers_agree(wire, &Limits::default()).unwrap();
+        let (mut a, mut b) = pair();
+        a.write_all(wire).unwrap();
+        a.shutdown_write();
+        let mut scratch = Scratch::new();
+        read_response_fast(&mut b, &mut scratch, &Limits::default()).unwrap();
+    }
 }
 
 proptest! {
@@ -291,5 +360,52 @@ proptest! {
         c.write_all(&raw).unwrap();
         c.shutdown_write();
         let _ = read_response(&mut d, &Limits::default(), false);
+    }
+
+    #[test]
+    fn fast_response_parser_matches_scalar_on_valid_responses(
+        resp in arb_response(),
+        chunk in 0usize..64,
+    ) {
+        assert_response_parsers_agree(&response_wire(&resp, chunk), &Limits::default())?;
+    }
+
+    #[test]
+    fn fast_response_parser_matches_scalar_on_truncated_and_mutated_responses(
+        resp in arb_response(),
+        chunk in 0usize..64,
+        cut in any::<proptest::sample::Index>(),
+        idx in any::<proptest::sample::Index>(),
+        to in any::<u8>(),
+        mutate in any::<bool>(),
+    ) {
+        let mut raw = response_wire(&resp, chunk);
+        if mutate {
+            let i = idx.index(raw.len());
+            raw[i] = to;
+        } else {
+            raw.truncate(cut.index(raw.len() + 1));
+        }
+        assert_response_parsers_agree(&raw, &Limits::default())?;
+    }
+
+    #[test]
+    fn fast_response_parser_matches_scalar_under_tight_limits(
+        resp in arb_response(),
+        chunk in 0usize..64,
+        tail in proptest::collection::vec(
+            prop_oneof![
+                Just(b'\r'), Just(b'\n'), Just(b':'), Just(b' '), Just(b'0'),
+                any::<u8>(),
+            ],
+            0..128,
+        ),
+    ) {
+        // Small caps force the TooLarge paths on heads and bodies.
+        let limits = Limits { max_head: 48, max_body: 16 };
+        assert_response_parsers_agree(&response_wire(&resp, chunk), &limits)?;
+        let mut raw = b"HTTP/1.1 200 OK\r\n".to_vec();
+        raw.extend_from_slice(&tail);
+        assert_response_parsers_agree(&raw, &limits)?;
     }
 }

@@ -36,7 +36,7 @@ use fw_dns::pdns::PdnsBackend;
 use fw_http::fast::{read_request_fast, render_response, render_status, Scratch};
 use fw_http::parse::{write_response, HttpError, Limits};
 use fw_http::server::serve_connection;
-use fw_http::types::{HeaderMap, Method, Request, Response};
+use fw_http::types::{Method, Request, Response};
 use fw_net::{Connection, SimNet};
 use fw_obs::{counter_inc, Histogram};
 use fw_types::Json;
@@ -130,15 +130,20 @@ impl<B: PdnsBackend> ServeApi<B> {
         let _span = fw_obs::trace_span_arg("serve/req", self.seq.fetch_add(1, Ordering::Relaxed));
         counter_inc!("fw.serve.requests");
         let (ep, resp) = self.route(req);
+        self.record(ep, resp.status, t);
+        resp
+    }
+
+    /// The endpoint's latency since `t` and the response-class counter.
+    fn record(&self, ep: Endpoint, status: u16, t: Instant) {
         if fw_obs::enabled() {
             self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
-            match resp.status {
+            match status {
                 200..=299 => counter_inc!("fw.serve.responses.ok"),
                 400..=499 => counter_inc!("fw.serve.responses.client_error"),
                 _ => counter_inc!("fw.serve.responses.other"),
             }
         }
-        resp
     }
 
     fn route(&self, req: &Request) -> (Endpoint, Response) {
@@ -237,10 +242,12 @@ impl<B: PdnsBackend> ServeApi<B> {
     /// The zero-copy serve loop: parse in place, write cache hits as
     /// stored wire images, render everything else into the reusable
     /// scratch buffer. Byte-for-byte equivalent to running
-    /// [`serve_connection`] over [`ServeApi::handle`].
+    /// [`serve_connection`] over [`ServeApi::handle`]. Whatever an
+    /// earlier connection left in `scratch` is dropped first.
     pub fn serve_fast(&self, conn: &mut dyn Connection, scratch: &mut Scratch) {
+        scratch.reset();
         let limits = Limits::default();
-        'serve: loop {
+        loop {
             let req = match read_request_fast(conn, scratch, &limits) {
                 Ok(r) => r,
                 Err(HttpError::Eof) | Err(HttpError::Io(_)) => break,
@@ -256,17 +263,7 @@ impl<B: PdnsBackend> ServeApi<B> {
                 // close`): replay through the legacy handler so the
                 // close header lands exactly where serve_connection
                 // puts it.
-                let mut headers = HeaderMap::new();
-                for (n, v) in scratch.headers(&req) {
-                    headers.insert(n, v);
-                }
-                let request = Request {
-                    method: req.method,
-                    target: scratch.target(&req).to_string(),
-                    headers,
-                    body: scratch.body(&req).to_vec(),
-                };
-                let mut resp = self.handle(&request);
+                let mut resp = self.handle(&scratch.request(&req));
                 resp.headers.set("Connection", "close");
                 let _ = write_response(conn, &resp);
                 break;
@@ -275,44 +272,28 @@ impl<B: PdnsBackend> ServeApi<B> {
             let _span =
                 fw_obs::trace_span_arg("serve/req", self.seq.fetch_add(1, Ordering::Relaxed));
             counter_inc!("fw.serve.requests");
-            let (ep, status) = if req.method != Method::Get {
-                if conn.write_all(self.wire_405.wire()).is_err() {
-                    break 'serve;
-                }
-                (Endpoint::NotFound, 405)
+            let entry;
+            let (ep, status, wire) = if req.method != Method::Get {
+                (Endpoint::NotFound, 405, self.wire_405.wire())
             } else {
                 match self.route_target(scratch.target(&req)) {
                     (ep, Routed::Status) => {
                         let body = self.status_body();
                         scratch.out.clear();
                         render_response(&mut scratch.out, 200, "application/json", body.as_bytes());
-                        if conn.write_all(&scratch.out).is_err() {
-                            break 'serve;
-                        }
-                        (ep, 200)
+                        (ep, 200, &scratch.out[..])
                     }
-                    (ep, Routed::Cached(entry)) => {
-                        if conn.write_all(entry.wire()).is_err() {
-                            break 'serve;
-                        }
-                        (ep, entry.status)
+                    (ep, Routed::Cached(cached)) => {
+                        entry = cached;
+                        (ep, entry.status, entry.wire())
                     }
-                    (ep, Routed::NotFound) => {
-                        if conn.write_all(self.wire_404.wire()).is_err() {
-                            break 'serve;
-                        }
-                        (ep, 404)
-                    }
+                    (ep, Routed::NotFound) => (ep, 404, self.wire_404.wire()),
                 }
             };
-            if fw_obs::enabled() {
-                self.latency[ep as usize].record(t.elapsed().as_micros() as u64);
-                match status {
-                    200..=299 => counter_inc!("fw.serve.responses.ok"),
-                    400..=499 => counter_inc!("fw.serve.responses.client_error"),
-                    _ => counter_inc!("fw.serve.responses.other"),
-                }
+            if conn.write_all(wire).is_err() {
+                break;
             }
+            self.record(ep, status, t);
         }
         conn.shutdown_write();
     }
@@ -597,6 +578,32 @@ mod tests {
         let fast = drive(true, b"GARBAGE REQUEST LINE\r\n\r\n");
         assert_eq!(legacy, fast);
         assert!(!legacy.is_empty());
+    }
+
+    /// A worker reuses one scratch across connections: bytes a bad
+    /// client left unparsed must not reach the next connection.
+    #[test]
+    fn fast_path_starts_each_connection_clean() {
+        use fw_http::parse::{read_response, write_request};
+        let api = api();
+        let mut scratch = Scratch::new();
+        let mut exchange = |write: &dyn Fn(&mut fw_net::PipeConn)| {
+            let (mut client, mut server) = pipe_pair(
+                "10.0.0.1:50000".parse().unwrap(),
+                "203.0.113.1:80".parse().unwrap(),
+            );
+            write(&mut client);
+            client.shutdown_write();
+            api.serve_fast(&mut server, &mut scratch);
+            read_response(&mut client, &Limits::default(), false)
+                .unwrap()
+                .status
+        };
+        let bad = exchange(&|c| c.write_all(b"GARBAGE REQUEST LINE\r\n\r\n").unwrap());
+        assert_eq!(bad, 400);
+        let target = "/v1/verdict/a1b2c3d4e5f6.lambda-url.us-east-1.on.aws";
+        let good = exchange(&|c| write_request(c, &Request::get(target, "api.sim")).unwrap());
+        assert_eq!(good, 200);
     }
 
     /// The pooled fast listener answers over SimNet like the legacy
