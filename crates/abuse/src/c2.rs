@@ -14,8 +14,14 @@
 //! rediscover them by probing; a relay only answers its own family's
 //! probe (anything else gets a stealthy 404), so naive content scanning
 //! cannot find these.
+//!
+//! Each probe is encoded once, when the corpus is built (a
+//! [`RequestTemplate`]); a scan splices each candidate's name into those
+//! bytes and matches the reply where it was read, through a
+//! [`ResponseView`].
 
-use fw_http::types::{Method, Request, Response};
+use fw_http::client::RequestTemplate;
+use fw_http::types::{Method, Request, ResponseView};
 use fw_types::memmem::contains_subsequence;
 use std::sync::OnceLock;
 
@@ -57,20 +63,23 @@ pub struct C2Fingerprint {
     pub family: &'static str,
     pub signature_id: &'static str,
     pub probe: ProbeTemplate,
+    /// `probe`, encoded, for any host.
+    pub wire: RequestTemplate,
     pub matcher: Vec<MatchOp>,
 }
 
 impl C2Fingerprint {
-    /// Does a response match this signature? All ops must hold.
-    pub fn matches(&self, resp: &Response) -> bool {
+    /// Does a response match this signature? All ops must hold. An owned
+    /// response matches through `Response::view`.
+    pub fn matches(&self, resp: &ResponseView<'_>) -> bool {
         self.matcher.iter().all(|op| match op {
             MatchOp::StatusIs(s) => resp.status == *s,
-            MatchOp::HeaderEquals(n, v) => resp.headers.get(n) == Some(*v),
-            MatchOp::BodyPrefix(p) => resp.body.starts_with(p),
+            MatchOp::HeaderEquals(n, v) => resp.header(n) == Some(*v),
+            MatchOp::BodyPrefix(p) => resp.body().starts_with(p),
             MatchOp::BodyContains(needle) => {
-                !needle.is_empty() && contains_subsequence(&resp.body, needle)
+                !needle.is_empty() && contains_subsequence(resp.body(), needle)
             }
-            MatchOp::BodyLenAtLeast(n) => resp.body.len() >= *n,
+            MatchOp::BodyLenAtLeast(n) => resp.body().len() >= *n,
         })
     }
 }
@@ -161,18 +170,20 @@ fn make_signature(idx: usize, family: &'static str, variant: usize) -> C2Fingerp
         (Method::Post, magic.clone())
     };
     let sig_id: &'static str = Box::leak(format!("{family}-s{variant}").into_boxed_str());
+    let probe = ProbeTemplate {
+        method,
+        path: family_path(idx, variant),
+        headers: vec![(
+            "X-Session".to_string(),
+            format!("{:02x}{:02x}", idx * 7 + 1, variant + 1),
+        )],
+        body,
+    };
     C2Fingerprint {
         family,
         signature_id: sig_id,
-        probe: ProbeTemplate {
-            method,
-            path: family_path(idx, variant),
-            headers: vec![(
-                "X-Session".to_string(),
-                format!("{:02x}{:02x}", idx * 7 + 1, variant + 1),
-            )],
-            body,
-        },
+        wire: RequestTemplate::new(&probe.to_request("")).expect("probe requests carry a Host"),
+        probe,
         matcher: vec![
             MatchOp::StatusIs(200),
             MatchOp::HeaderEquals("content-type", "application/octet-stream"),
@@ -206,13 +217,56 @@ pub fn relay_template(family_idx: usize) -> RelayTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fw_http::fast::Scratch;
+    use fw_http::parse::{encode_response, write_request, Limits};
     use fw_http::types::Response;
+    use fw_net::{pipe_pair, Connection};
 
     fn relay_answer(idx: usize) -> Response {
         let mut r = Response::new(200);
         r.headers.insert("Content-Type", "application/octet-stream");
         r.body = family_reply(idx);
         r
+    }
+
+    /// The matcher as it was written over owned responses: the oracle
+    /// the view matcher must agree with.
+    fn owned_matches(sig: &C2Fingerprint, resp: &Response) -> bool {
+        sig.matcher.iter().all(|op| match op {
+            MatchOp::StatusIs(s) => resp.status == *s,
+            MatchOp::HeaderEquals(n, v) => resp.headers.get(n) == Some(*v),
+            MatchOp::BodyPrefix(p) => resp.body.starts_with(p),
+            MatchOp::BodyContains(needle) => {
+                !needle.is_empty() && contains_subsequence(&resp.body, needle)
+            }
+            MatchOp::BodyLenAtLeast(n) => resp.body.len() >= *n,
+        })
+    }
+
+    fn pair() -> (fw_net::PipeConn, fw_net::PipeConn) {
+        pipe_pair(
+            "10.0.0.1:50000".parse().unwrap(),
+            "203.0.113.1:443".parse().unwrap(),
+        )
+    }
+
+    /// Does `sig` match `resp`? Asked of the view of `resp` read off the
+    /// wire into a scratch, of `resp.view()` and of the owned oracle,
+    /// which must all give one answer.
+    fn matches(sig: &C2Fingerprint, resp: &Response) -> bool {
+        let (mut a, mut b) = pair();
+        let mut wire = Vec::new();
+        encode_response(resp, &mut wire);
+        a.write_all(&wire).unwrap();
+        a.shutdown_write();
+        let mut scratch = Scratch::new();
+        let read = scratch
+            .read_response(&mut b, &Limits::default(), false)
+            .unwrap();
+        let on_wire = sig.matches(&scratch.view(&read));
+        assert_eq!(on_wire, sig.matches(&resp.view()), "{}", sig.signature_id);
+        assert_eq!(on_wire, owned_matches(sig, resp), "{}", sig.signature_id);
+        on_wire
     }
 
     #[test]
@@ -240,15 +294,19 @@ mod tests {
         for (idx, _family) in FAMILIES.iter().enumerate() {
             let reply = relay_answer(idx);
             let own = &c[idx];
-            assert!(own.matches(&reply), "family {idx} must match own reply");
+            assert!(matches(own, &reply), "family {idx} must match own reply");
             // No other family's primary signature matches.
             for (other_idx, other) in c.iter().take(18).enumerate() {
                 if other_idx != idx {
                     assert!(
-                        !other.matches(&reply),
+                        !matches(other, &reply),
                         "family {other_idx} must not match family {idx}'s reply"
                     );
                 }
+            }
+            // Every signature gives the same answer on every path.
+            for sig in c {
+                matches(sig, &reply);
             }
         }
     }
@@ -262,7 +320,7 @@ mod tests {
             Response::html(200, "<html><body>welcome</body></html>"),
         ] {
             for sig in c {
-                assert!(!sig.matches(&resp), "{}", sig.signature_id);
+                assert!(!matches(sig, &resp), "{}", sig.signature_id);
             }
         }
     }
@@ -274,6 +332,60 @@ mod tests {
         assert_eq!(req.host(), Some("relay.scf.tencentcs.com"));
         assert!(req.target.starts_with('/'));
         assert!(req.headers.get("x-session").is_some());
+    }
+
+    /// What `write_request` puts on the wire for `req`.
+    fn written(req: &Request) -> Vec<u8> {
+        let (mut a, mut b) = pair();
+        write_request(&mut a, req).unwrap();
+        a.shutdown_write();
+        let mut out = Vec::new();
+        let mut buf = [0u8; 512];
+        loop {
+            match b.read(&mut buf).unwrap() {
+                0 => return out,
+                n => out.extend_from_slice(&buf[..n]),
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_probes_are_the_bytes_write_request_writes() {
+        let long = format!("{}.scf.tencentcs.com", "a".repeat(63));
+        let hosts = [
+            "relay.scf.tencentcs.com",
+            "fn-1234567890.lambda-url.us-east-1.on.aws",
+            "Relay.SCF.TencentCS.com",
+            long.as_str(),
+            "x",
+        ];
+        for sig in corpus() {
+            for host in hosts {
+                let mut out = Vec::new();
+                assert_eq!(
+                    sig.wire.write_for(host, &mut out).bytes(),
+                    written(&sig.probe.to_request(host)),
+                    "{} for {host}",
+                    sig.signature_id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_probe_bytes_are_pinned() {
+        let c = corpus();
+        let mut out = Vec::new();
+        assert_eq!(
+            c[0].wire
+                .write_for("relay.scf.tencentcs.com", &mut out)
+                .bytes(),
+            b"GET /pixel.gif HTTP/1.1\r\nHost: relay.scf.tencentcs.com\r\nX-Session: 0101\r\n\r\n"
+        );
+        assert_eq!(
+            c[18].wire.write_for("relay.scf.tencentcs.com", &mut out).bytes(),
+            b"POST /jquery.min.js2 HTTP/1.1\r\nHost: relay.scf.tencentcs.com\r\nX-Session: 0102\r\nContent-Length: 6\r\n\r\n\x00\x0b\xa1MZ\x0c"
+        );
     }
 
     #[test]
@@ -289,7 +401,7 @@ mod tests {
             resp.headers
                 .insert("Content-Type", "application/octet-stream");
             resp.body = tpl.reply.clone();
-            assert!(sig.matches(&resp));
+            assert!(matches(sig, &resp));
         }
     }
 

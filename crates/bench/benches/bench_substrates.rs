@@ -134,7 +134,9 @@ fn bench_c2_matching(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0;
             for sig in corpus {
-                if sig.matches(black_box(&hit_resp)) || sig.matches(black_box(&miss_resp)) {
+                if sig.matches(black_box(&hit_resp.view()))
+                    || sig.matches(black_box(&miss_resp.view()))
+                {
                     hits += 1;
                 }
             }

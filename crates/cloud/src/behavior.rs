@@ -191,13 +191,13 @@ pub enum Behavior {
 
 /// Per-invocation context handed to a behaviour.
 #[derive(Debug)]
-pub struct BehaviorContext {
+pub struct BehaviorContext<'a> {
     /// Deterministic per-invocation RNG.
     pub rng: SmallRng,
     /// Egress IP allocated to this execution environment.
     pub egress_ip: Ipv4Addr,
     /// The function's own domain (for self-references in content).
-    pub fqdn: String,
+    pub fqdn: &'a str,
 }
 
 /// Outcome of dispatching a request to a behaviour.
@@ -242,7 +242,7 @@ impl Behavior {
     }
 
     /// Dispatch one request.
-    pub fn respond(&self, req: &Request, ctx: &mut BehaviorContext) -> Outcome {
+    pub fn respond(&self, req: &Request, ctx: &mut BehaviorContext<'_>) -> Outcome {
         use Outcome::Respond as R;
         match self {
             Behavior::JsonApi { service } => R(Response::json(
@@ -506,11 +506,11 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn ctx() -> BehaviorContext {
+    fn ctx() -> BehaviorContext<'static> {
         BehaviorContext {
             rng: SmallRng::seed_from_u64(7),
             egress_ip: Ipv4Addr::new(34, 120, 7, 9),
-            fqdn: "fn-proj-abcdefghij.cn-shanghai.fcapp.run".into(),
+            fqdn: "fn-proj-abcdefghij.cn-shanghai.fcapp.run",
         }
     }
 

@@ -125,11 +125,17 @@ impl BillingLedger {
         BillingLedger::default()
     }
 
-    /// Meter one invocation.
+    /// Meter one invocation. The key is cloned only on a function's
+    /// first invocation.
     pub fn record(&mut self, fqdn: &Fqdn, memory_mb: u32, exec_ms: u64) {
-        let meter = self.usage.entry(fqdn.clone()).or_default();
-        meter.invocations += 1;
-        meter.gb_seconds += (memory_mb as f64 / 1024.0) * (exec_ms as f64 / 1000.0);
+        let add = |meter: &mut UsageMeter| {
+            meter.invocations += 1;
+            meter.gb_seconds += (memory_mb as f64 / 1024.0) * (exec_ms as f64 / 1000.0);
+        };
+        match self.usage.get_mut(fqdn) {
+            Some(meter) => add(meter),
+            None => add(self.usage.entry(fqdn.clone()).or_default()),
+        }
     }
 
     pub fn usage(&self, fqdn: &Fqdn) -> UsageMeter {

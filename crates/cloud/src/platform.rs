@@ -694,22 +694,29 @@ impl CloudPlatform {
 impl PlatformInner {
     /// Route one HTTP request arriving at an ingress node.
     fn route(&self, provider: ProviderId, req: &Request) -> Reply {
-        let Some(host) = req.host().and_then(|h| Fqdn::parse(h).ok()) else {
-            return Response::text(400, "missing host header").into();
-        };
-        let entry = self.functions.read().get(&host).cloned();
-        let Some(entry) = entry else {
-            self.stats.unknown_host.fetch_add(1, Ordering::Relaxed);
-            return provider_404(provider).into();
+        // A stored name is canonical, so a Host sent exactly as stored is
+        // the name `Fqdn::parse` would return. Only other spellings (case,
+        // a trailing dot) and unknown names are parsed.
+        let sent = req.host();
+        let hit = sent.and_then(|raw| self.functions.read().get(raw).cloned());
+        let entry = match hit {
+            Some(entry) => entry,
+            None => {
+                let Some(host) = sent.and_then(|raw| Fqdn::parse(raw).ok()) else {
+                    return Response::text(400, "missing host header").into();
+                };
+                let Some(entry) = self.functions.read().get(&host).cloned() else {
+                    self.stats.unknown_host.fetch_add(1, Ordering::Relaxed);
+                    return provider_404(provider).into();
+                };
+                entry
+            }
         };
         if entry.deleted.load(Ordering::Relaxed) {
             self.stats.deleted_hits.fetch_add(1, Ordering::Relaxed);
             let status = spec(provider).deleted_status;
-            return Response::json(
-                status,
-                &format!(r#"{{"message":"Function not found: {host}"}}"#),
-            )
-            .into();
+            let body = format!(r#"{{"message":"Function not found: {}"}}"#, entry.fqdn);
+            return Response::with_body(status, "application/json", body).into();
         }
         if entry.auth_protected {
             let authed = req.headers.get("authorization").is_some();
@@ -758,7 +765,7 @@ impl PlatformInner {
         let mut ctx = BehaviorContext {
             rng: SmallRng::seed_from_u64(entry.seed ^ inv_no),
             egress_ip,
-            fqdn: entry.fqdn.to_string(),
+            fqdn: entry.fqdn.as_str(),
         };
         let exec_ms = entry.exec_ms + if cold { self.config.cold_start_ms } else { 0 };
         self.billing
@@ -1122,6 +1129,78 @@ mod tests {
         let usage = platform.with_billing(|b| b.usage(&d.fqdn));
         assert_eq!(usage.invocations, 3);
         assert!(usage.gb_seconds > 0.0);
+    }
+
+    #[test]
+    fn route_falls_back_to_the_parsed_host() {
+        let (platform, _net, _resolver) = make_platform();
+        let live = platform
+            .deploy(DeploySpec::new(ProviderId::Google2, Behavior::EmptyOk))
+            .unwrap()
+            .fqdn;
+        let gone = platform
+            .deploy(DeploySpec::new(ProviderId::Google2, Behavior::EmptyOk))
+            .unwrap()
+            .fqdn;
+        platform.delete(&gone);
+        let reply = |host: Option<&str>| {
+            let mut req = Request::get("/", "");
+            req.headers = fw_http::types::HeaderMap::new();
+            if let Some(host) = host {
+                req.headers.insert("Host", host);
+            }
+            platform.ingress_reply(ProviderId::Google2, &req).response
+        };
+        let stats = platform.stats();
+
+        // As stored, in other case, with a trailing dot: one function.
+        let upper = live.as_str().to_ascii_uppercase();
+        let dotted = format!("{live}.");
+        for host in [live.as_str(), upper.as_str(), dotted.as_str()] {
+            assert_eq!(reply(Some(host)).status, 200, "{host}");
+        }
+        assert_eq!(platform.invocation_count(&live), 3);
+
+        // A deleted name, however spelled, gets the deleted-function page.
+        let expect = format!(r#"{{"message":"Function not found: {gone}"}}"#);
+        for host in [
+            gone.as_str().to_string(),
+            format!("{}.", gone.as_str().to_ascii_uppercase()),
+        ] {
+            let resp = reply(Some(&host));
+            assert_eq!(resp.status, 404);
+            assert_eq!(resp.body_text(), expect);
+        }
+        assert_eq!(stats.deleted_hits.load(Ordering::Relaxed), 2);
+
+        // A valid name nobody deployed: the provider's 404.
+        let unknown = reply(Some("nobody-here.cloudfunctions.net"));
+        assert_eq!(unknown, provider_404(ProviderId::Google2));
+        assert_eq!(stats.unknown_host.load(Ordering::Relaxed), 1);
+
+        // No Host, or one that is no domain name: 400.
+        for host in [None, Some(""), Some("single"), Some("bad host.example")] {
+            assert_eq!(reply(host).status, 400, "{host:?}");
+        }
+        assert_eq!(stats.unknown_host.load(Ordering::Relaxed), 1);
+
+        // Billing saw exactly the three invocations that reached the
+        // function: one cold (exec + cold start), two warm.
+        let config = PlatformConfig::default();
+        let gb = |ms: u64| (config.default_memory_mb as f64 / 1024.0) * (ms as f64 / 1000.0);
+        let mut gb_seconds = 0.0;
+        for ms in [
+            config.default_exec_ms + config.cold_start_ms,
+            config.default_exec_ms,
+            config.default_exec_ms,
+        ] {
+            gb_seconds += gb(ms);
+        }
+        let usage = platform.with_billing(|b| b.usage(&live));
+        assert_eq!(usage.invocations, 3);
+        assert_eq!(usage.gb_seconds, gb_seconds);
+        assert_eq!(platform.with_billing(|b| b.usage(&gone)).invocations, 0);
+        assert_eq!(platform.with_billing(|b| b.function_count()), 1);
     }
 
     #[test]

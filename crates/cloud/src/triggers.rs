@@ -182,7 +182,7 @@ impl TriggerFabric {
         let mut ctx = BehaviorContext {
             rng: SmallRng::seed_from_u64(invocations ^ 0xe7e7),
             egress_ip: std::net::Ipv4Addr::new(34, 99, 0, (invocations % 200) as u8),
-            fqdn: fqdn.to_string(),
+            fqdn: fqdn.as_str(),
         };
         match behavior.respond(&req, &mut ctx) {
             Outcome::Respond(resp) => Ok(resp),

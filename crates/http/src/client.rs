@@ -5,8 +5,9 @@
 //! simulated TLS on port 443), [`TcpDialer`] opens real TCP sockets. The
 //! prober composes this client with DNS resolution and its ethics policy.
 
-use crate::parse::{read_response, write_request, HttpError, Limits};
-use crate::types::{Method, Request, Response};
+use crate::fast::{FastResponse, Scratch};
+use crate::parse::{encode_request, encode_request_at, HttpError, Limits};
+use crate::types::{Method, Request, Response, ResponseView};
 use crate::url::Url;
 use fw_net::tcp::TcpConn;
 use fw_net::{Connection, SimNet, TlsClient, TlsError};
@@ -157,23 +158,111 @@ impl std::fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
+/// An encoded request: its wire bytes, and the two facts about it that
+/// the client's keep-alive rules read, taken from the [`Request`] it was
+/// encoded from.
+#[derive(Debug, Clone, Copy)]
+pub struct Wire<'a> {
+    bytes: &'a [u8],
+    /// A HEAD request: its response has no body.
+    head: bool,
+    /// The first `Connection` value is `close`.
+    close: bool,
+}
+
+impl<'a> Wire<'a> {
+    /// Encode `req` into `out`, which is cleared first: the bytes
+    /// `write_request` writes.
+    pub fn encode(req: &Request, out: &'a mut Vec<u8>) -> Wire<'a> {
+        out.clear();
+        encode_request(req, out);
+        Wire {
+            bytes: out,
+            head: req.method == Method::Head,
+            close: request_wants_close(req),
+        }
+    }
+
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+/// A request encoded once for many servers: the bytes `write_request`
+/// writes for it, with the value of its `Host` field cut out to be
+/// spliced back in per server.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestTemplate {
+    bytes: Vec<u8>,
+    /// Where the `Host` value goes.
+    host_at: usize,
+    head: bool,
+    close: bool,
+}
+
+impl RequestTemplate {
+    /// `None` if `req` has no `Host` field.
+    pub fn new(req: &Request) -> Option<RequestTemplate> {
+        let mut bytes = Vec::new();
+        let host_at = encode_request_at(req, &mut bytes)?;
+        let host_len = req.host().map_or(0, str::len);
+        bytes.drain(host_at..host_at + host_len);
+        Some(RequestTemplate {
+            bytes,
+            host_at,
+            head: req.method == Method::Head,
+            close: request_wants_close(req),
+        })
+    }
+
+    /// The request with `host` as its `Host` value, encoded into `out`
+    /// (cleared first): the bytes `write_request` writes for it.
+    pub fn write_for<'a>(&self, host: &str, out: &'a mut Vec<u8>) -> Wire<'a> {
+        out.clear();
+        out.extend_from_slice(&self.bytes[..self.host_at]);
+        out.extend_from_slice(host.as_bytes());
+        out.extend_from_slice(&self.bytes[self.host_at..]);
+        Wire {
+            bytes: out,
+            head: self.head,
+            close: self.close,
+        }
+    }
+}
+
 /// Identity of a pooled connection: same target, same server name, same
 /// transport security. A request may only reuse a connection whose key
 /// matches exactly.
 type ConnKey = (SocketAddr, String, bool);
 
+/// A connection parked for reuse, with its key.
+type Parked = (ConnKey, Box<dyn Connection>);
+
 /// The blocking HTTP client.
 ///
-/// Holds one keep-alive slot: after a `send` whose request *and*
+/// Holds one keep-alive slot: after an exchange whose request *and*
 /// response both permit reuse (no `Connection: close`, self-delimiting
-/// body framing), the connection is parked and the next `send` to the
-/// same `(addr, host, tls)` replays over it instead of dialing. A
+/// body framing), the connection is parked and the next exchange with
+/// the same `(addr, host, tls)` replays over it instead of dialing. A
 /// server-initiated close or any mid-exchange error on a reused
 /// connection falls back to exactly one fresh dial.
+///
+/// Every reply is read into one [`Scratch`], created on first use and
+/// kept for the client's life. [`HttpClient::send`] turns it into an
+/// owned [`Response`]; [`HttpClient::send_with`] lends it to a callback
+/// as a [`ResponseView`], with no allocation per exchange.
 pub struct HttpClient<D: Dialer> {
     dialer: D,
     config: ClientConfig,
-    slot: Mutex<Option<(ConnKey, Box<dyn Connection>)>>,
+    idle: Mutex<Idle>,
+}
+
+/// What the client keeps between exchanges. Each part is lent to one
+/// exchange at a time.
+#[derive(Default)]
+struct Idle {
+    conn: Option<Parked>,
+    scratch: Option<Scratch>,
 }
 
 /// Does the request opt out of keep-alive?
@@ -186,22 +275,35 @@ fn request_wants_close(req: &Request) -> bool {
 /// May the connection be reused after this exchange? True only when the
 /// response body was self-delimiting (Content-Length, chunked, or
 /// bodiless status) — a read-to-EOF body consumes the connection — and
-/// the server did not ask to close.
-fn response_permits_reuse(head: bool, resp: &Response) -> bool {
+/// the server did not ask to close. Each header is read by its first
+/// value.
+fn response_permits_reuse(head: bool, resp: &ResponseView<'_>) -> bool {
     if resp
-        .headers
-        .get("connection")
+        .header("connection")
         .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     {
         return false;
     }
     head || resp.status == 204
         || resp.status == 304
-        || resp.headers.get("content-length").is_some()
+        || resp.header("content-length").is_some()
         || resp
-            .headers
-            .get("transfer-encoding")
+            .header("transfer-encoding")
             .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
+}
+
+/// Write `wire` and read the reply into `scratch`, which starts empty as
+/// a fresh buffer would: bytes a server sent past its last reply are
+/// dropped.
+fn roundtrip(
+    conn: &mut dyn Connection,
+    wire: Wire<'_>,
+    scratch: &mut Scratch,
+    limits: &Limits,
+) -> Result<FastResponse, HttpError> {
+    conn.write_all(wire.bytes)?;
+    scratch.discard_input();
+    scratch.read_response(conn, limits, wire.head)
 }
 
 impl<D: Dialer> HttpClient<D> {
@@ -209,7 +311,7 @@ impl<D: Dialer> HttpClient<D> {
         HttpClient {
             dialer,
             config,
-            slot: Mutex::new(None),
+            idle: Mutex::new(Idle::default()),
         }
     }
 
@@ -217,34 +319,52 @@ impl<D: Dialer> HttpClient<D> {
         &self.config
     }
 
+    fn idle(&self) -> std::sync::MutexGuard<'_, Idle> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Take the pooled connection if its key matches.
-    fn take_pooled(&self, key: &ConnKey) -> Option<Box<dyn Connection>> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        match slot.take() {
-            Some((k, conn)) if &k == key => Some(conn),
+    fn take_pooled(&self, addr: SocketAddr, host: &str, tls: bool) -> Option<Parked> {
+        let mut idle = self.idle();
+        match idle.conn.take() {
+            Some((key, conn)) if key.0 == addr && key.1 == host && key.2 == tls => {
+                Some((key, conn))
+            }
             other => {
-                *slot = other; // wrong key: leave it parked
+                idle.conn = other; // wrong key: leave it parked
                 None
             }
         }
     }
 
-    /// Park `conn` for the next same-key request.
-    fn park(&self, key: ConnKey, conn: Box<dyn Connection>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some((key, conn));
+    /// The one exchange path: write `wire` to `addr`, over the parked
+    /// connection when it matches and the request allows it, and read
+    /// the reply into the client's scratch, where `inspect` reads it.
+    /// Reuse is decided once, from the reply's spans.
+    fn exchange<T>(
+        &self,
+        addr: SocketAddr,
+        host: &str,
+        tls: bool,
+        wire: Wire<'_>,
+        inspect: impl FnOnce(&Scratch, &FastResponse) -> T,
+    ) -> Result<T, FetchError> {
+        let mut scratch = self.idle().scratch.take().unwrap_or_default();
+        let result = self
+            .dial_or_reuse(addr, host, tls, wire, &mut scratch)
+            .map(|(resp, park)| (inspect(&scratch, &resp), park));
+        let mut idle = self.idle();
+        idle.scratch = Some(scratch);
+        result.map(|(out, park)| {
+            if let Some(park) = park {
+                idle.conn = Some(park);
+            }
+            out
+        })
     }
 
-    /// One request/response exchange over an open connection.
-    fn exchange(&self, conn: &mut dyn Connection, req: &Request) -> Result<Response, HttpError> {
-        write_request(conn, req)?;
-        let head = req.method == Method::Head;
-        read_response(conn, &self.config.limits, head)
-    }
-
-    /// Issue `req` to `addr` (resolved separately — the prober owns
-    /// DNS). `host` names the server being contacted; `tls` switches TLS
-    /// (with `host` as SNI) on.
+    /// Run one exchange into `scratch`; also returns the connection to
+    /// park, if the exchange permits reuse.
     ///
     /// Transparent keep-alive: unless the request carries
     /// `Connection: close`, the client first tries the parked connection
@@ -252,33 +372,29 @@ impl<D: Dialer> HttpClient<D> {
     /// (or the exchange errors mid-stream) it falls back to one fresh
     /// dial, so callers observe at most the errors a fresh-dial-per-send
     /// client would.
-    pub fn send(
+    fn dial_or_reuse(
         &self,
         addr: SocketAddr,
         host: &str,
         tls: bool,
-        req: &Request,
-    ) -> Result<Response, FetchError> {
-        let key: ConnKey = (addr, host.to_string(), tls);
-        let pooling = !request_wants_close(req);
-        let head = req.method == Method::Head;
-
-        if pooling {
-            if let Some(mut conn) = self.take_pooled(&key) {
-                match self.exchange(conn.as_mut(), req) {
-                    Ok(resp) => {
-                        fw_obs::counter_inc!("fw.http.conn.reused");
-                        if response_permits_reuse(head, &resp) {
-                            self.park(key, conn);
-                        }
-                        return Ok(resp);
-                    }
-                    Err(_) => {
-                        // Server closed the parked connection (or the
-                        // exchange died mid-stream): drop it and fall
-                        // back to a fresh dial below.
-                        fw_obs::counter_inc!("fw.http.conn.reuse_failed");
-                    }
+        wire: Wire<'_>,
+        scratch: &mut Scratch,
+    ) -> Result<(FastResponse, Option<Parked>), FetchError> {
+        let limits = &self.config.limits;
+        let pooling = !wire.close;
+        let parked = pooling.then(|| self.take_pooled(addr, host, tls)).flatten();
+        if let Some((key, mut conn)) = parked {
+            match roundtrip(conn.as_mut(), wire, scratch, limits) {
+                Ok(resp) => {
+                    fw_obs::counter_inc!("fw.http.conn.reused");
+                    let keep = response_permits_reuse(wire.head, &scratch.view(&resp));
+                    return Ok((resp, keep.then_some((key, conn))));
+                }
+                Err(_) => {
+                    // Server closed the parked connection (or the
+                    // exchange died mid-stream): drop it and fall back
+                    // to a fresh dial below.
+                    fw_obs::counter_inc!("fw.http.conn.reuse_failed");
                 }
             }
         }
@@ -290,13 +406,43 @@ impl<D: Dialer> HttpClient<D> {
         fw_obs::counter_inc!("fw.http.conn.dialed");
         conn.set_read_timeout(Some(self.config.read_timeout))
             .map_err(|e| FetchError::Http(HttpError::Io(e)))?;
-        let resp = self
-            .exchange(conn.as_mut(), req)
-            .map_err(FetchError::Http)?;
-        if pooling && response_permits_reuse(head, &resp) {
-            self.park(key, conn);
-        }
-        Ok(resp)
+        let resp = roundtrip(conn.as_mut(), wire, scratch, limits).map_err(FetchError::Http)?;
+        let keep = pooling && response_permits_reuse(wire.head, &scratch.view(&resp));
+        Ok((resp, keep.then(|| ((addr, host.to_string(), tls), conn))))
+    }
+
+    /// Issue `req` to `addr` (resolved separately — the prober owns
+    /// DNS). `host` names the server being contacted; `tls` switches TLS
+    /// (with `host` as SNI) on. Pooling follows the keep-alive rules of
+    /// [`HttpClient`].
+    pub fn send(
+        &self,
+        addr: SocketAddr,
+        host: &str,
+        tls: bool,
+        req: &Request,
+    ) -> Result<Response, FetchError> {
+        let mut out = Vec::with_capacity(256 + req.body.len());
+        let wire = Wire::encode(req, &mut out);
+        self.exchange(addr, host, tls, wire, |scratch, resp| {
+            scratch.response(resp)
+        })
+    }
+
+    /// [`HttpClient::send`] of an encoded request, with the reply lent to
+    /// `inspect` as a view into the client's receive buffer instead of
+    /// copied out. Same dials, same bytes, same reuse.
+    pub fn send_with<T>(
+        &self,
+        addr: SocketAddr,
+        host: &str,
+        tls: bool,
+        wire: Wire<'_>,
+        inspect: impl FnOnce(&ResponseView<'_>) -> T,
+    ) -> Result<T, FetchError> {
+        self.exchange(addr, host, tls, wire, |scratch, resp| {
+            inspect(&scratch.view(resp))
+        })
     }
 
     /// Parameter-free GET of a URL against a resolved address — the §3.3
@@ -320,7 +466,6 @@ impl<D: Dialer> HttpClient<D> {
 mod tests {
     use super::*;
     use crate::parse::write_response;
-    use crate::types::Response;
     use fw_net::{ClockSource as _, TlsServer};
     use std::sync::Arc;
 
@@ -576,6 +721,281 @@ mod tests {
         // Back to A: A's conn was displaced by B's, so this dials again.
         client.send(addr_a, "a.on.aws", false, &req).unwrap();
         assert_eq!(accepts.load(Ordering::SeqCst), 3);
+    }
+
+    /// One exchange as a caller sees it: status, the first value of a
+    /// few headers and the body, or the error.
+    type Seen = Result<(u16, Vec<Option<String>>, Vec<u8>), String>;
+
+    const NAMES: [&str; 5] = [
+        "content-type",
+        "content-length",
+        "connection",
+        "transfer-encoding",
+        "x-tag",
+    ];
+
+    /// Send `reqs` in order through one client, by `send` or by
+    /// `send_with`, to a fresh network where `serve` handles each
+    /// connection (with its accept ordinal). Returns what each exchange
+    /// saw and how many connections the server accepted.
+    fn drive(
+        serve: fn(Box<dyn Connection>, usize, &fw_net::Clock),
+        reqs: &[Request],
+        view: bool,
+    ) -> (Vec<Seen>, usize) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let net = SimNet::new(31);
+        let addr: SocketAddr = "203.0.113.40:80".parse().unwrap();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let accepts_srv = accepts.clone();
+        let clock = net.clock().clone();
+        net.listen(
+            addr,
+            Arc::new(move |conn: Box<dyn Connection>| {
+                serve(conn, accepts_srv.fetch_add(1, Ordering::SeqCst), &clock)
+            }),
+        );
+        let client = HttpClient::new(
+            SimDialer::new(net),
+            ClientConfig {
+                read_timeout: Duration::from_millis(50),
+                ..ClientConfig::default()
+            },
+        );
+        let mut out = Vec::new();
+        let seen = reqs
+            .iter()
+            .map(|req| {
+                let host = req.host().unwrap();
+                let got = if view {
+                    let wire = Wire::encode(req, &mut out);
+                    client.send_with(addr, host, false, wire, |v| {
+                        let headers = NAMES.map(|n| v.header(n).map(str::to_string));
+                        (v.status, headers.to_vec(), v.body().to_vec())
+                    })
+                } else {
+                    client.send(addr, host, false, req).map(|r| {
+                        let headers = NAMES.map(|n| r.headers.get(n).map(str::to_string));
+                        (r.status, headers.to_vec(), r.body)
+                    })
+                };
+                got.map_err(|e| e.to_string())
+            })
+            .collect();
+        (seen, accepts.load(Ordering::SeqCst))
+    }
+
+    /// Answer every request on the connection with `raw`.
+    fn answer_all(mut conn: Box<dyn Connection>, raw: &[u8]) {
+        while crate::parse::read_request(conn.as_mut(), &Limits::default()).is_ok() {
+            if conn.write_all(raw).is_err() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn send_and_send_with_see_the_same_replies_and_dials() {
+        let gets: Vec<Request> = (0..5)
+            .map(|i| Request::get(&format!("/p/{i}"), "fn.on.aws"))
+            .collect();
+        let closing: Vec<Request> = gets
+            .iter()
+            .cloned()
+            .map(|mut r| {
+                r.headers.insert("Connection", "close");
+                r
+            })
+            .collect();
+        let mut head = Request::get("/h", "fn.on.aws");
+        head.method = Method::Head;
+        let heads = vec![head.clone(), head];
+        type Case = (
+            &'static str,
+            fn(Box<dyn Connection>, usize, &fw_net::Clock),
+            Option<usize>,
+        );
+        let cases: [Case; 9] = [
+            (
+                "keep-alive content-length",
+                |mut conn, _, _| {
+                    while let Ok(req) =
+                        crate::parse::read_request(conn.as_mut(), &Limits::default())
+                    {
+                        let mut resp = Response::text(200, &format!("path={}", req.path()));
+                        resp.headers.insert("X-Tag", "first");
+                        resp.headers.insert("x-tag", "second");
+                        if write_response(conn.as_mut(), &resp).is_err() {
+                            break;
+                        }
+                    }
+                },
+                Some(1),
+            ),
+            (
+                "chunked",
+                |mut conn, _, _| {
+                    while let Ok(req) =
+                        crate::parse::read_request(conn.as_mut(), &Limits::default())
+                    {
+                        let resp = Response::text(200, &format!("chunked reply to {}", req.path()));
+                        if crate::parse::write_response_chunked(conn.as_mut(), &resp, 5).is_err() {
+                            break;
+                        }
+                    }
+                },
+                Some(1),
+            ),
+            (
+                "connection: close",
+                |conn, _, _| {
+                    answer_all(
+                        conn,
+                        b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+                    )
+                },
+                Some(5),
+            ),
+            (
+                // The first value is not `close`, so the connection is
+                // parked and every later exchange reuses it.
+                "connection: keep-alive, close",
+                |conn, _, _| {
+                    answer_all(
+                        conn,
+                        b"HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 2\r\n\r\nok",
+                    )
+                },
+                Some(1),
+            ),
+            (
+                "body to eof",
+                |mut conn, _, _| {
+                    if crate::parse::read_request(conn.as_mut(), &Limits::default()).is_ok() {
+                        let _ = conn.write_all(b"HTTP/1.1 200 OK\r\nX-Tag: eof\r\n\r\nuntil close");
+                    }
+                },
+                Some(5),
+            ),
+            (
+                "204 with a bad content-length",
+                |conn, _, _| {
+                    answer_all(
+                        conn,
+                        b"HTTP/1.1 204 No Content\r\nContent-Length: zz\r\n\r\n",
+                    )
+                },
+                Some(1),
+            ),
+            (
+                "hang-up mid-corpus",
+                |mut conn, _, _| {
+                    for _ in 0..2 {
+                        if crate::parse::read_request(conn.as_mut(), &Limits::default()).is_err()
+                            || write_response(conn.as_mut(), &Response::text(200, "two")).is_err()
+                        {
+                            return;
+                        }
+                    }
+                },
+                Some(3),
+            ),
+            (
+                "read timeout",
+                |mut conn, _, clock| {
+                    let mut buf = [0u8; 1024];
+                    let _ = conn.read(&mut buf);
+                    clock.sleep(Duration::from_millis(300));
+                },
+                None,
+            ),
+            (
+                // One good reply, then every later connection dies
+                // inside a status line.
+                "truncated replacement",
+                |mut conn, nth, _| {
+                    if crate::parse::read_request(conn.as_mut(), &Limits::default()).is_ok() {
+                        let raw: &[u8] = if nth == 0 {
+                            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst"
+                        } else {
+                            b"HTTP/1.1 2"
+                        };
+                        let _ = conn.write_all(raw);
+                    }
+                },
+                Some(5),
+            ),
+        ];
+        for (name, serve, accepts) in cases {
+            let owned = drive(serve, &gets, false);
+            let view = drive(serve, &gets, true);
+            assert_eq!(view, owned, "{name}");
+            if let Some(accepts) = accepts {
+                assert_eq!(owned.1, accepts, "{name}: accepts");
+            }
+            assert_eq!(
+                drive(serve, &closing, true),
+                drive(serve, &closing, false),
+                "{name}: close"
+            );
+            assert_eq!(
+                drive(serve, &heads, true),
+                drive(serve, &heads, false),
+                "{name}: head"
+            );
+        }
+        // Spot-check what the cases pin.
+        let (seen, _) = drive(cases[0].1, &gets, true);
+        let (status, headers, body) = seen[3].clone().unwrap();
+        assert_eq!((status, body.as_slice()), (200, &b"path=/p/3"[..]));
+        assert_eq!(headers[4].as_deref(), Some("first"));
+        let (seen, accepts) = drive(cases[1].1, &gets, true);
+        assert_eq!(seen[0].clone().unwrap().2, b"chunked reply to /p/0");
+        assert_eq!(accepts, 1);
+        assert_eq!(drive(cases[2].1, &closing, true).1, 5);
+        let (seen, _) = drive(cases[7].1, &gets, true);
+        assert!(seen
+            .iter()
+            .all(|s| s.as_ref().unwrap_err().contains("timed out")));
+        let (seen, _) = drive(cases[8].1, &gets, true);
+        assert_eq!(seen[0].clone().unwrap().2, b"first");
+        assert!(seen[1..]
+            .iter()
+            .all(|s| s.as_ref().unwrap_err().contains("parse")));
+    }
+
+    #[test]
+    fn request_template_splices_any_host() {
+        let mut req = Request::get("/t?q=1", "placeholder.example");
+        req.headers.insert("X-Before", "b");
+        req.method = Method::Post;
+        req.body = b"0123456789".to_vec();
+        let tpl = RequestTemplate::new(&req).unwrap();
+        let mut out = Vec::new();
+        for host in ["a.on.aws", "", "UPPER.Example.COM"] {
+            let mut want = Vec::new();
+            let mut moved = Request::get("/t?q=1", host);
+            moved.headers.insert("X-Before", "b");
+            moved.method = Method::Post;
+            moved.body = b"0123456789".to_vec();
+            encode_request(&moved, &mut want);
+            assert_eq!(tpl.write_for(host, &mut out).bytes(), want);
+        }
+        // A Host field after others is spliced where it stands.
+        let mut late = Request::get("/", "x.example");
+        late.headers = crate::types::HeaderMap::new();
+        late.headers.insert("X-First", "1");
+        late.headers.insert("host", "x.example");
+        late.headers.insert("Connection", "close");
+        let tpl = RequestTemplate::new(&late).unwrap();
+        assert_eq!(
+            tpl.write_for("y.example", &mut out).bytes(),
+            b"GET / HTTP/1.1\r\nX-First: 1\r\nhost: y.example\r\nConnection: close\r\n\r\n"
+        );
+        assert!(tpl.write_for("y.example", &mut out).close);
+        late.headers.remove("host");
+        assert!(RequestTemplate::new(&late).is_none());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The buffer-reusing reader and the renderers of the serving hot path.
 //!
 //! This is not a second parser: [`read_request_fast`] and
-//! [`read_response_fast`] run the [`crate::parse`] grammar — the same
-//! code, limits and errors as `read_request` / `read_response` — over a
-//! [`Scratch`] that outlives one message. Headers stay spans into the
-//! receive buffer, consumed messages are compacted lazily at the next
-//! read, and read-ahead is kept, so a keep-alive connection reuses one
-//! buffer for its whole lifetime and pipelined requests are not dropped.
+//! [`Scratch::read_response`] run the [`crate::parse`] grammar — the
+//! same code, limits and errors as `read_request` / `read_response` —
+//! over a [`Scratch`] that outlives one message. Headers stay spans into
+//! the receive buffer, consumed messages are compacted lazily at the
+//! next read, and read-ahead is kept, so a keep-alive connection reuses
+//! one buffer for its whole lifetime and pipelined requests are not
+//! dropped. The HTTP client reads every response into one, too.
 //!
 //! The render helpers at the bottom produce output byte-identical to
 //! [`crate::parse::write_response`] / [`crate::parse::write_request`]
@@ -15,9 +16,10 @@
 //! response-stream digest unchanged.
 
 use crate::parse::{
-    fill, frame, owned_request, Body, Cursor, HttpError, Limits, Span, Spans, Stop,
+    fill, frame, owned_request, owned_response, push_uint, status_line, Body, Cursor, HttpError,
+    Limits, Span, Spans, StatusLine, Stop,
 };
-use crate::types::{reason_phrase, Method, Request};
+use crate::types::{reason_phrase, Method, Request, Response, ResponseView};
 use fw_net::Connection;
 
 /// Per-connection reusable parse/render state. One `Scratch` serves one
@@ -30,7 +32,7 @@ pub struct Scratch {
     used: usize,
     /// Header and chunk spans of the current message.
     spans: Spans,
-    /// Decoded chunked request body (other bodies stay in `buf`).
+    /// Decoded chunked body (other bodies stay in `buf`).
     chunked_body: Vec<u8>,
     /// Staging area for transport reads.
     staging: Box<[u8; 8 * 1024]>,
@@ -58,10 +60,16 @@ impl Scratch {
 
     /// Forget any buffered or half-parsed state (fresh connection).
     pub fn reset(&mut self) {
-        self.buf.clear();
-        self.used = 0;
+        self.discard_input();
         self.chunked_body.clear();
         self.out.clear();
+    }
+
+    /// Drop everything received, read-ahead included, so the next read
+    /// starts from an empty buffer, as a fresh one would.
+    pub(crate) fn discard_input(&mut self) {
+        self.buf.clear();
+        self.used = 0;
     }
 
     /// Frame the next message with `parse`, reading from `conn` as it
@@ -86,6 +94,23 @@ impl Scratch {
         Ok(msg)
     }
 
+    /// Decode a chunked body into `chunked_body`, so that every body is
+    /// one slice.
+    fn join_chunks(&mut self, body: Body) {
+        if let Body::Chunked(_) = body {
+            self.chunked_body.clear();
+            self.spans
+                .body_into(&self.buf, body, &mut self.chunked_body);
+        }
+    }
+
+    fn body_bytes(&self, body: Body) -> &[u8] {
+        match body {
+            Body::Bytes(span) => span.bytes(&self.buf),
+            Body::Chunked(_) => &self.chunked_body,
+        }
+    }
+
     /// The request target (path + query) of `req`.
     pub fn target(&self, req: &FastRequest) -> &str {
         req.target.str(&self.buf)
@@ -101,18 +126,13 @@ impl Scratch {
 
     /// First value of the named header (case-insensitive), like
     /// `HeaderMap::get`.
-    pub fn header<'s>(&'s self, req: &FastRequest, name: &str) -> Option<&'s str> {
-        self.headers(req)
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v)
+    pub fn header<'s>(&'s self, _req: &FastRequest, name: &str) -> Option<&'s str> {
+        self.spans.get(&self.buf, name)
     }
 
     /// The request body of `req`.
     pub fn body(&self, req: &FastRequest) -> &[u8] {
-        match req.body {
-            Body::Bytes(span) => span.bytes(&self.buf),
-            Body::Chunked(_) => &self.chunked_body,
-        }
+        self.body_bytes(req.body)
     }
 
     /// `req` as an owned [`Request`], exactly as
@@ -120,6 +140,41 @@ impl Scratch {
     pub fn request(&self, req: &FastRequest) -> Request {
         let body = self.body(req).to_vec();
         owned_request(&self.buf, &self.spans, req.method, req.target, body)
+    }
+
+    /// Read one response: [`crate::parse::read_response`] into this
+    /// scratch. `head_request` suppresses the body of a HEAD response.
+    pub fn read_response(
+        &mut self,
+        conn: &mut dyn Connection,
+        limits: &Limits,
+        head_request: bool,
+    ) -> Result<FastResponse, HttpError> {
+        let msg = self.read(conn, |cur, eof| cur.response(limits, head_request, eof))?;
+        self.join_chunks(msg.body);
+        Ok(FastResponse {
+            status: msg.line.status,
+            body_len: self.body_bytes(msg.body).len(),
+            line: msg.line,
+            body: msg.body,
+        })
+    }
+
+    /// `resp`, borrowed from this scratch.
+    pub fn view(&self, resp: &FastResponse) -> ResponseView<'_> {
+        ResponseView::wire(
+            resp.status,
+            &self.buf,
+            &self.spans,
+            self.body_bytes(resp.body),
+        )
+    }
+
+    /// `resp` as an owned [`Response`], exactly as
+    /// [`crate::parse::read_response`] would have returned it.
+    pub(crate) fn response(&self, resp: &FastResponse) -> Response {
+        let body = self.body_bytes(resp.body).to_vec();
+        owned_response(&self.buf, &self.spans, resp.line, body)
     }
 }
 
@@ -145,12 +200,7 @@ pub fn read_request_fast(
     limits: &Limits,
 ) -> Result<FastRequest, HttpError> {
     let msg = scratch.read(conn, |cur, _eof| cur.request(limits))?;
-    if let Body::Chunked(_) = msg.body {
-        scratch.chunked_body.clear();
-        scratch
-            .spans
-            .body_into(&scratch.buf, msg.body, &mut scratch.chunked_body);
-    }
+    scratch.join_chunks(msg.body);
     fw_obs::counter_inc!("fw.http.parse.req");
     Ok(FastRequest {
         method: msg.line.method,
@@ -160,55 +210,28 @@ pub fn read_request_fast(
     })
 }
 
-/// A response's framing essentials, parsed by [`read_response_fast`].
-/// The body is consumed from the transport (keep-alive framing stays
-/// intact) but not retained — the load harness digests response bytes
-/// at the transport layer and only needs the status.
+/// A response read by [`Scratch::read_response`]. Its header fields and
+/// body stay in the scratch, valid until the next read; resolve them
+/// with [`Scratch::view`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastResponse {
     pub status: u16,
     pub body_len: usize,
+    line: StatusLine,
+    body: Body,
 }
 
 /// Client-side fast path: [`crate::parse::read_response`] of a non-HEAD
-/// request, keeping only the status and the body length.
+/// request into `scratch`. The load harness digests response bytes at
+/// the transport layer and only looks at the status.
 pub fn read_response_fast(
     conn: &mut dyn Connection,
     scratch: &mut Scratch,
     limits: &Limits,
 ) -> Result<FastResponse, HttpError> {
-    let msg = scratch.read(conn, |cur, eof| cur.response(limits, false, eof))?;
+    let resp = scratch.read_response(conn, limits, false)?;
     fw_obs::counter_inc!("fw.http.parse.resp");
-    Ok(FastResponse {
-        status: msg.line.status,
-        body_len: match msg.body {
-            Body::Bytes(span) => span.bytes(&scratch.buf).len(),
-            Body::Chunked(len) => len,
-        },
-    })
-}
-
-/// Append a decimal integer without going through `format!`.
-fn push_uint(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
-/// `HTTP/1.1 <status> <reason>`, without the line's CRLF.
-fn status_line(out: &mut Vec<u8>, status: u16) {
-    out.extend_from_slice(b"HTTP/1.1 ");
-    push_uint(out, u64::from(status));
-    out.push(b' ');
-    out.extend_from_slice(reason_phrase(status).as_bytes());
+    Ok(resp)
 }
 
 /// Render a full response wire image: byte-identical to
@@ -216,7 +239,7 @@ fn status_line(out: &mut Vec<u8>, status: u16) {
 /// content_type, body)`. Returns the head length (the body is
 /// `out[head_len..]`).
 pub fn render_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: &[u8]) -> usize {
-    status_line(out, status);
+    status_line(out, status, reason_phrase(status));
     out.extend_from_slice(b"\r\nContent-Type: ");
     out.extend_from_slice(content_type.as_bytes());
     out.extend_from_slice(b"\r\nContent-Length: ");
@@ -230,7 +253,7 @@ pub fn render_response(out: &mut Vec<u8>, status: u16, content_type: &str, body:
 /// Render a bare-status response (no content-type header), matching
 /// [`crate::parse::write_response`] of `Response::new(status)`.
 pub fn render_status(out: &mut Vec<u8>, status: u16) {
-    status_line(out, status);
+    status_line(out, status, reason_phrase(status));
     out.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
 }
 

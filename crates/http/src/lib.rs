@@ -27,8 +27,8 @@ pub mod server;
 pub mod types;
 pub mod url;
 
-pub use client::{ClientConfig, Dialer, HttpClient, SimDialer, TcpDialer};
+pub use client::{ClientConfig, Dialer, HttpClient, RequestTemplate, SimDialer, TcpDialer, Wire};
 pub use fast::{FastRequest, FastResponse, Scratch};
 pub use parse::HttpError;
-pub use types::{HeaderMap, Method, Request, Response};
+pub use types::{HeaderMap, Method, Request, Response, ResponseView};
 pub use url::Url;

@@ -115,7 +115,7 @@ impl<T> Framed<T> {
 }
 
 /// A byte range `lo..hi` of the buffer a message was framed from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Span(usize, usize);
 
 impl Span {
@@ -135,7 +135,7 @@ impl Span {
 }
 
 /// Where a message body lies.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Body {
     /// Contiguous bytes: a `Content-Length` or to-EOF body, empty when
     /// the message has none.
@@ -155,6 +155,15 @@ pub(crate) struct Spans {
 }
 
 impl Spans {
+    /// The first value of the named header (case-insensitive), like
+    /// `HeaderMap::get`.
+    pub(crate) fn get<'b>(&self, buf: &'b [u8], name: &str) -> Option<&'b str> {
+        self.headers
+            .iter()
+            .find(|(n, _)| n.str(buf).eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.str(buf))
+    }
+
     fn header_map(&self, buf: &[u8]) -> HeaderMap {
         let mut headers = HeaderMap::new();
         for &(name, value) in &self.headers {
@@ -191,7 +200,7 @@ pub(crate) struct RequestLine {
 }
 
 /// A status line: the code and the reason phrase.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StatusLine {
     pub(crate) status: u16,
     reason: Span,
@@ -551,6 +560,22 @@ pub fn read_request(conn: &mut dyn Connection, limits: &Limits) -> Result<Reques
     read_message(conn, |buf, _eof| parse_request(buf, limits))
 }
 
+/// The owned response that a status line and the header spans in
+/// `spans` describe, with `body`.
+pub(crate) fn owned_response(
+    buf: &[u8],
+    spans: &Spans,
+    line: StatusLine,
+    body: Vec<u8>,
+) -> Response {
+    Response {
+        status: line.status,
+        reason: line.reason.str(buf).to_string(),
+        headers: spans.header_map(buf),
+        body,
+    }
+}
+
 /// Frame one response from the front of `buf` (client side); see
 /// [`Cursor::response`].
 fn parse_response(
@@ -563,11 +588,9 @@ fn parse_response(
     let framed = frame(buf, &mut spans, |cur| {
         cur.response(limits, head_request, eof)
     })?;
-    Ok(framed.map(|m| Response {
-        status: m.line.status,
-        reason: m.line.reason.str(buf).to_string(),
-        headers: spans.header_map(buf),
-        body: spans.body(buf, m.body),
+    Ok(framed.map(|m| {
+        let body = spans.body(buf, m.body);
+        owned_response(buf, &spans, m.line, body)
     }))
 }
 
@@ -584,35 +607,78 @@ pub fn read_response(
     })
 }
 
+/// Append a decimal integer without going through `format!`.
+pub(crate) fn push_uint(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// `HTTP/1.1 <status> <reason>`, without the line's CRLF.
+pub(crate) fn status_line(out: &mut Vec<u8>, status: u16, reason: &str) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_uint(out, u64::from(status));
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+}
+
 /// Append `headers`, then `Content-Length: len` if `len` is given and
 /// the headers carry no length, then the blank line ending the head.
-fn encode_fields(out: &mut Vec<u8>, headers: &HeaderMap, len: Option<usize>) {
+/// Returns where the value of the first `Host` field starts in `out`.
+fn encode_fields(out: &mut Vec<u8>, headers: &HeaderMap, len: Option<usize>) -> Option<usize> {
     let mut wrote_len = false;
+    let mut host_at = None;
     for (n, v) in headers.iter() {
         wrote_len |= n.eq_ignore_ascii_case("content-length");
         out.extend_from_slice(n.as_bytes());
         out.extend_from_slice(b": ");
+        if host_at.is_none() && n.eq_ignore_ascii_case("host") {
+            host_at = Some(out.len());
+        }
         out.extend_from_slice(v.as_bytes());
         out.extend_from_slice(b"\r\n");
     }
     if let Some(len) = len.filter(|_| !wrote_len) {
-        out.extend_from_slice(format!("Content-Length: {len}\r\n").as_bytes());
+        out.extend_from_slice(b"Content-Length: ");
+        push_uint(out, len as u64);
+        out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
+    host_at
 }
 
 /// Serialize a request (adds `Content-Length` when a body is present).
 pub fn write_request(conn: &mut dyn Connection, req: &Request) -> Result<(), HttpError> {
     let mut out = Vec::with_capacity(256 + req.body.len());
+    encode_request(req, &mut out);
+    conn.write_all(&out)?;
+    Ok(())
+}
+
+/// Append the wire bytes of [`write_request`] to `out`.
+pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
+    encode_request_at(req, out);
+}
+
+/// [`encode_request`], also returning where the value of the first
+/// `Host` field starts in `out`.
+pub(crate) fn encode_request_at(req: &Request, out: &mut Vec<u8>) -> Option<usize> {
     out.extend_from_slice(req.method.as_str().as_bytes());
     out.push(b' ');
     out.extend_from_slice(req.target.as_bytes());
     out.extend_from_slice(b" HTTP/1.1\r\n");
     let len = (!req.body.is_empty()).then_some(req.body.len());
-    encode_fields(&mut out, &req.headers, len);
+    let host_at = encode_fields(out, &req.headers, len);
     out.extend_from_slice(&req.body);
-    conn.write_all(&out)?;
-    Ok(())
+    host_at
 }
 
 /// Serialize a response with `Content-Length` framing.
@@ -626,7 +692,8 @@ pub fn write_response(conn: &mut dyn Connection, resp: &Response) -> Result<(), 
 /// Append the wire bytes of [`write_response`] to `out`.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     out.reserve(256 + resp.body.len());
-    out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason).as_bytes());
+    status_line(out, resp.status, &resp.reason);
+    out.extend_from_slice(b"\r\n");
     encode_fields(out, &resp.headers, Some(resp.body.len()));
     out.extend_from_slice(&resp.body);
 }
@@ -639,7 +706,8 @@ pub fn write_response_chunked(
     chunk_size: usize,
 ) -> Result<(), HttpError> {
     let mut out = Vec::with_capacity(256 + resp.body.len());
-    out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason).as_bytes());
+    status_line(&mut out, resp.status, &resp.reason);
+    out.extend_from_slice(b"\r\n");
     let mut headers = resp.headers.clone();
     headers.remove("content-length");
     headers.insert("Transfer-Encoding", "chunked");
@@ -810,6 +878,70 @@ mod tests {
                 read_response(&mut b, &Limits::default(), false),
                 Err(HttpError::Parse(_))
             ));
+        }
+    }
+
+    /// Everything written to the far end of a pipe by `write`.
+    fn wire_of(write: impl FnOnce(&mut dyn Connection)) -> Vec<u8> {
+        let (mut a, mut b) = pair();
+        write(&mut a);
+        a.shutdown_write();
+        let mut out = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            match b.read(&mut buf).unwrap() {
+                0 => return out,
+                n => out.extend_from_slice(&buf[..n]),
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_status_lines_and_lengths_are_pinned() {
+        let mut out = Vec::new();
+        let mut custom = Response::text(299, "hi");
+        custom.reason = "Totally Custom".to_string();
+        encode_response(&custom, &mut out);
+        assert_eq!(
+            out,
+            b"HTTP/1.1 299 Totally Custom\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 2\r\n\r\nhi"
+        );
+
+        out.clear();
+        encode_response(&Response::new(404), &mut out);
+        assert_eq!(out, b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
+
+        out.clear();
+        let big = Response::with_body(200, "application/octet-stream", vec![b'x'; 12_345]);
+        encode_response(&big, &mut out);
+        let head = b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: 12345\r\n\r\n";
+        assert_eq!(&out[..head.len()], head);
+        assert_eq!(out.len(), head.len() + 12_345);
+
+        out.clear();
+        let mut post = Request::get("/in", "h.example");
+        post.method = Method::Post;
+        post.body = vec![7; 1_000_000];
+        encode_request(&post, &mut out);
+        let head = b"POST /in HTTP/1.1\r\nHost: h.example\r\nContent-Length: 1000000\r\n\r\n";
+        assert_eq!(&out[..head.len()], head);
+
+        let chunked =
+            wire_of(|c| write_response_chunked(c, &Response::text(201, "hello world"), 4).unwrap());
+        assert_eq!(
+            chunked,
+            b"HTTP/1.1 201 Created\r\nContent-Type: text/plain; charset=utf-8\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nhell\r\n4\r\no wo\r\n3\r\nrld\r\n0\r\n\r\n"
+        );
+
+        for (v, text) in [
+            (0u64, "0"),
+            (9, "9"),
+            (10, "10"),
+            (u64::MAX, "18446744073709551615"),
+        ] {
+            out.clear();
+            push_uint(&mut out, v);
+            assert_eq!(out, text.as_bytes());
         }
     }
 

@@ -1,5 +1,6 @@
 //! HTTP message types.
 
+use crate::parse::Spans;
 use std::fmt;
 
 /// Request method. The prober only ever issues parameter-free GETs (ethics
@@ -242,6 +243,56 @@ impl Response {
 
     pub fn is_redirect(&self) -> bool {
         (300..400).contains(&self.status)
+    }
+
+    /// This response as a [`ResponseView`].
+    pub fn view(&self) -> ResponseView<'_> {
+        ResponseView {
+            status: self.status,
+            headers: Headers::Map(&self.headers),
+            body: &self.body,
+        }
+    }
+}
+
+/// A borrowed response: the status, a first-match header lookup and the
+/// body. The client hands one to `HttpClient::send_with` callbacks while
+/// the bytes are still in its receive buffer; [`Response::view`] gives
+/// the same view of an owned response.
+#[derive(Debug, Clone, Copy)]
+pub struct ResponseView<'a> {
+    pub status: u16,
+    headers: Headers<'a>,
+    body: &'a [u8],
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Headers<'a> {
+    /// Header spans into a receive buffer.
+    Wire(&'a [u8], &'a Spans),
+    Map(&'a HeaderMap),
+}
+
+impl<'a> ResponseView<'a> {
+    pub(crate) fn wire(status: u16, buf: &'a [u8], spans: &'a Spans, body: &'a [u8]) -> Self {
+        ResponseView {
+            status,
+            headers: Headers::Wire(buf, spans),
+            body,
+        }
+    }
+
+    /// First value of the named header (case-insensitive), like
+    /// [`HeaderMap::get`].
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        match self.headers {
+            Headers::Wire(buf, spans) => spans.get(buf, name),
+            Headers::Map(map) => map.get(name),
+        }
+    }
+
+    pub fn body(&self) -> &'a [u8] {
+        self.body
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! `c2_scan_reuse_on` replays the full 26-signature corpus against a
 //! planted relay through the client's keep-alive slot (one dial per
-//! port); `c2_scan_reuse_off` sends the same probes with
+//! port), the way the scanner does: pre-encoded probes, replies matched
+//! in place; `c2_scan_reuse_off` sends the same probes with
 //! `Connection: close` on every request — the pre-keep-alive behavior,
 //! one dial and handshake per signature. `resolver_read_path` measures
 //! warm cache hits through `Resolver::resolve_shared` under the shard
@@ -21,7 +22,7 @@ use fw_abuse::c2::{corpus, relay_template};
 use fw_cloud::behavior::Behavior;
 use fw_cloud::platform::{CloudPlatform, DeploySpec, PlatformConfig};
 use fw_dns::resolver::Resolver;
-use fw_http::client::{ClientConfig, HttpClient, SimDialer};
+use fw_http::client::{ClientConfig, HttpClient, RequestTemplate, SimDialer};
 use fw_http::parse::{read_response, write_request, Limits};
 use fw_http::server::{serve_connection, HttpSession, Reply};
 use fw_http::types::{Request, Response};
@@ -84,33 +85,39 @@ fn bench_corpus_replay(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("c2_corpus_replay");
     group.throughput(Throughput::Elements(sigs.len() as u64));
-    group.bench_function("c2_scan_reuse_on", |b| {
-        b.iter(|| {
-            let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
-            let mut ok = 0usize;
-            for sig in sigs {
-                let req = sig.probe.to_request(fqdn.as_str());
-                if client.send(addr, fqdn.as_str(), true, &req).is_ok() {
-                    ok += 1;
-                }
-            }
-            black_box(ok)
+    let closing: Vec<RequestTemplate> = sigs
+        .iter()
+        .map(|sig| {
+            let mut req = sig.probe.to_request("");
+            req.headers.insert("Connection", "close");
+            RequestTemplate::new(&req).expect("probes carry a Host")
         })
-    });
-    group.bench_function("c2_scan_reuse_off", |b| {
-        b.iter(|| {
-            let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
-            let mut ok = 0usize;
-            for sig in sigs {
-                let mut req = sig.probe.to_request(fqdn.as_str());
-                req.headers.insert("Connection", "close");
-                if client.send(addr, fqdn.as_str(), true, &req).is_ok() {
-                    ok += 1;
+        .collect();
+    let mut buf = Vec::new();
+    for (name, templates) in [
+        (
+            "c2_scan_reuse_on",
+            sigs.iter().map(|s| &s.wire).collect::<Vec<_>>(),
+        ),
+        ("c2_scan_reuse_off", closing.iter().collect()),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let client = HttpClient::new(SimDialer::new(net.clone()), ClientConfig::default());
+                let mut ok = 0usize;
+                for (sig, template) in sigs.iter().zip(&templates) {
+                    let wire = template.write_for(fqdn.as_str(), &mut buf);
+                    if client
+                        .send_with(addr, fqdn.as_str(), true, wire, |r| sig.matches(r))
+                        .is_ok()
+                    {
+                        ok += 1;
+                    }
                 }
-            }
-            black_box(ok)
-        })
-    });
+                black_box(ok)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -149,13 +156,15 @@ fn bench_ingress_exchange(c: &mut Criterion) {
     let fqdn = deploy_relay(&platform, 0);
     let addr = relay_addr(&resolver, &fqdn, 443);
     let client = HttpClient::new(SimDialer::new(net), ClientConfig::default());
-    let probe = corpus()[0].probe.to_request(fqdn.as_str());
+    let probe = &corpus()[0].wire;
+    let mut buf = Vec::new();
     group.bench_function("platform_tls_keepalive", |b| {
         b.iter(|| {
+            let wire = probe.write_for(fqdn.as_str(), &mut buf);
             black_box(
                 client
-                    .send(addr, fqdn.as_str(), true, &probe)
-                    .map(|r| r.status),
+                    .send_with(addr, fqdn.as_str(), true, wire, |r| r.status)
+                    .ok(),
             )
         })
     });

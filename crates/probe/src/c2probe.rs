@@ -7,6 +7,10 @@
 //! answers its own family's handshake, so a hit identifies both the relay
 //! and the malware family. This can only find *active* C2 relays — the
 //! paper notes the count is therefore a lower bound.
+//!
+//! No message is built per probe: each signature's request was encoded
+//! once with the corpus and only gets the candidate's name spliced in,
+//! and each reply is matched where the client read it.
 
 use fw_abuse::c2::{corpus, C2Fingerprint};
 use fw_dns::resolver::Resolver;
@@ -62,7 +66,7 @@ impl C2Scanner {
     /// keep-alive slot replays all 26 signatures of a port over a single
     /// connection: one dial (and TLS handshake) per port instead of one
     /// per signature. A server that hangs up mid-corpus costs exactly
-    /// one transparent re-dial inside `send`.
+    /// one transparent re-dial inside `send_with`.
     pub fn scan_one(&self, fqdn: &Fqdn) -> Option<C2Detection> {
         let _trace = fw_obs::trace_span("c2scan/domain");
         let addrs = self
@@ -82,22 +86,23 @@ impl C2Scanner {
                 ..ClientConfig::default()
             },
         );
+        let host = fqdn.as_str();
+        let mut buf = Vec::new();
         // Both ports, like the paper's "ports 80/443": :443 first, then
         // :80, unless a hit ends the scan.
         for (port, tls) in [(443u16, true), (80u16, false)] {
             let addr = SocketAddr::new(IpAddr::V4(ip), port);
             for sig in self.fingerprints {
-                let req = sig.probe.to_request(fqdn.as_str());
-                match client.send(addr, fqdn.as_str(), tls, &req) {
-                    Ok(resp) => {
-                        if sig.matches(&resp) {
-                            return Some(C2Detection {
-                                fqdn: fqdn.clone(),
-                                family: sig.family,
-                                signature_id: sig.signature_id,
-                            });
-                        }
+                let wire = sig.wire.write_for(host, &mut buf);
+                match client.send_with(addr, host, tls, wire, |resp| sig.matches(resp)) {
+                    Ok(true) => {
+                        return Some(C2Detection {
+                            fqdn: fqdn.clone(),
+                            family: sig.family,
+                            signature_id: sig.signature_id,
+                        });
                     }
+                    Ok(false) => {}
                     // Port closed → try the other port; per-request
                     // failures just skip the signature.
                     Err(FetchError::Dial(_)) => break,

@@ -99,6 +99,15 @@ impl AsRef<str> for Fqdn {
     }
 }
 
+/// Maps keyed by `Fqdn` can be probed with a `&str`: the derived `Eq`,
+/// `Ord` and `Hash` are those of the name's string. Only a canonical
+/// name (what [`Fqdn::parse`] returns) can equal a stored key.
+impl std::borrow::Borrow<str> for Fqdn {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
