@@ -22,6 +22,6 @@ pub mod resolver;
 pub mod wire;
 pub mod zone;
 
-pub use pdns::{FqdnAggregate, PdnsRecord, PdnsRow, PdnsStore};
+pub use pdns::{DayTable, FqdnAggregate, PdnsRecord, PdnsRow, PdnsStore};
 pub use resolver::{ResolveError, Resolver};
 pub use zone::Zone;

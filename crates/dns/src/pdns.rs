@@ -6,11 +6,13 @@
 //! `first_seen_all`, `last_seen_all`, `days_count`, `total_request_cnt` and
 //! the distribution of resolution results.
 //!
-//! Rdata values are interned per fqdn, so the memory cost of a row is one
-//! day stamp, one small index and one counter — the store comfortably holds
-//! full-scale (531k-domain) synthetic worlds.
+//! Each fqdn's rows live in one [`DayTable`]. Rdata values are interned
+//! per fqdn, so the memory cost of a row is one day stamp, one small
+//! index and one counter — the store comfortably holds full-scale
+//! (531k-domain) synthetic worlds.
 
 use crate::resolver::Sensor;
+use fw_types::fnv::FnvBuildHasher;
 use fw_types::{DayStamp, Fqdn, Rdata, RecordType};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -52,17 +54,38 @@ struct DailyRow {
     cnt: u64,
 }
 
+/// One fqdn's daily rows: exactly one row per `(pdate, rdata)`, with
+/// each rdata interned once so a row costs a day stamp, an index and a
+/// counter.
+///
+/// This is the only copy of the PDNS day table. [`PdnsStore`],
+/// `fw-store`'s shard tables, segment replay and the snapshot scan's
+/// multi-segment fallback all write through [`DayTable::add`], so the
+/// one-row-per-key invariant holds whatever order rows arrive in.
+///
+/// Merge rule: rows are append-only. While rows arrive in day order
+/// (no day earlier than the last row's) they stay sorted by day, so a
+/// repeated key can only sit among the last day's rows and `add` scans
+/// back over those. The first row that arrives out of day order builds
+/// a boxed `(pdate, rdata) → row` index for this table alone, and every
+/// later `add` merges through it. The index is boxed so that a table
+/// without one, the common case, pays for a single null pointer.
 #[derive(Debug, Default)]
-struct FqdnEntry {
+pub struct DayTable {
     rdatas: Vec<Rdata>,
     /// rdata → index side table; high-fanout ingress fqdns (anycast
     /// frontends) see hundreds of distinct rdatas, so interning must not
     /// scan `rdatas` linearly per observation.
-    rdata_index: HashMap<Rdata, u32>,
+    rdata_index: HashMap<Rdata, u32, FnvBuildHasher>,
     rows: Vec<DailyRow>,
+    row_index: Option<Box<RowIndex>>,
 }
 
-impl FqdnEntry {
+/// `(pdate, rdata index) → row position`, for a table whose rows
+/// arrived out of day order.
+type RowIndex = HashMap<(DayStamp, u32), u32, FnvBuildHasher>;
+
+impl DayTable {
     fn intern(&mut self, rdata: &Rdata) -> u32 {
         if let Some(&i) = self.rdata_index.get(rdata) {
             return i;
@@ -71,6 +94,102 @@ impl FqdnEntry {
         self.rdatas.push(rdata.clone());
         self.rdata_index.insert(rdata.clone(), i);
         i
+    }
+
+    /// Merge `cnt` observations of `rdata` on `day` into the row for
+    /// that key, appending the row if the key is new. Returns the row's
+    /// position in [`rows`](Self::rows) order; a new row's position is
+    /// the previous [`len`](Self::len).
+    pub fn add(&mut self, rdata: &Rdata, day: DayStamp, cnt: u64) -> usize {
+        let idx = self.intern(rdata);
+        let len = self.rows.len();
+        if self.row_index.is_none() && self.rows.last().is_some_and(|last| day < last.pdate) {
+            let index = self.rows.iter().enumerate();
+            let index = index.map(|(i, r)| ((r.pdate, r.rdata_idx), i as u32));
+            self.row_index = Some(Box::new(index.collect()));
+        }
+        let pos = match &mut self.row_index {
+            Some(index) => *index.entry((day, idx)).or_insert(len as u32) as usize,
+            None => self
+                .rows
+                .iter()
+                .rev()
+                .take_while(|r| r.pdate == day)
+                .position(|r| r.rdata_idx == idx)
+                .map_or(len, |back| len - 1 - back),
+        };
+        if pos == len {
+            self.rows.push(DailyRow {
+                pdate: day,
+                rdata_idx: idx,
+                cnt,
+            });
+        } else {
+            self.rows[pos].cnt += cnt;
+        }
+        pos
+    }
+
+    /// Number of rows (distinct `(pdate, rdata)` keys).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Every row as `(rdata, pdate, request_cnt)`, in arrival order of
+    /// each key's first row.
+    pub fn rows(&self) -> impl Iterator<Item = (&Rdata, DayStamp, u64)> + '_ {
+        self.rows
+            .iter()
+            .map(|row| (&self.rdatas[row.rdata_idx as usize], row.pdate, row.cnt))
+    }
+
+    /// Visit the rows in canonical `(pdate, rdata text)` order. Each
+    /// interned rdata's text is rendered once; sorting by `rdata.text()`
+    /// directly would re-allocate the text per comparison.
+    pub fn for_each_sorted(&self, mut f: impl FnMut(&Rdata, DayStamp, u64)) {
+        let texts: Vec<String> = self.rdatas.iter().map(|r| r.text()).collect();
+        let mut order: Vec<&DailyRow> = self.rows.iter().collect();
+        order.sort_by(|a, b| {
+            (a.pdate, texts[a.rdata_idx as usize].as_str())
+                .cmp(&(b.pdate, texts[b.rdata_idx as usize].as_str()))
+        });
+        for row in order {
+            f(&self.rdatas[row.rdata_idx as usize], row.pdate, row.cnt);
+        }
+    }
+
+    /// The §3.2 aggregate of these rows, labelled `fqdn`.
+    pub fn aggregate(&self, fqdn: &Fqdn) -> FqdnAggregate {
+        let mut first = DayStamp(i64::MAX);
+        let mut last = DayStamp(i64::MIN);
+        let mut total = 0u64;
+        let mut dist: Vec<u64> = vec![0; self.rdatas.len()];
+        let mut days: Vec<DayStamp> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            first = first.min(row.pdate);
+            last = last.max(row.pdate);
+            total += row.cnt;
+            dist[row.rdata_idx as usize] += row.cnt;
+            days.push(row.pdate);
+        }
+        days.sort_unstable();
+        days.dedup();
+        // Sorted by rdata so aggregates from different backends (whose
+        // interning orders differ) compare equal with plain `==`.
+        let mut rdata_dist: Vec<(Rdata, u64)> = self.rdatas.iter().cloned().zip(dist).collect();
+        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
+        FqdnAggregate {
+            fqdn: fqdn.clone(),
+            first_seen_all: first,
+            last_seen_all: last,
+            days_count: days.len() as u32,
+            total_request_cnt: total,
+            rdata_dist,
+        }
     }
 }
 
@@ -119,9 +238,10 @@ pub trait PdnsBackend: Sync {
     /// Number of distinct fqdns observed.
     fn fqdn_count(&self) -> usize;
 
-    /// Number of daily-aggregate rows. Backends may merge duplicate
-    /// `(fqdn, rdata, pdate)` keys differently, so this is a storage
-    /// metric, not an analysis input.
+    /// Number of daily-aggregate rows. Every backend keeps exactly one
+    /// row per `(fqdn, rdata, pdate)` key (both merge through
+    /// [`DayTable`]), whatever order observations arrive in, so this is
+    /// the number of distinct keys and agrees across backends.
     fn record_count(&self) -> usize;
 
     /// Visit every observed fqdn (backend-defined order).
@@ -178,27 +298,10 @@ pub trait PdnsBackend: Sync {
     }
 }
 
-/// Order one entry's rows by `(pdate, rdata text)` — the canonical
-/// `records_for` order, shared by the owned and visitor read paths.
-/// Each interned rdata's text is rendered once; sorting by
-/// `rdata.text()` directly would re-allocate the text per comparison.
-fn sorted_rows<'e>(rows: &'e [DailyRow], rdatas: &'e [Rdata]) -> Vec<(&'e DailyRow, &'e Rdata)> {
-    let texts: Vec<String> = rdatas.iter().map(|r| r.text()).collect();
-    let mut order: Vec<&DailyRow> = rows.iter().collect();
-    order.sort_by(|a, b| {
-        (a.pdate, texts[a.rdata_idx as usize].as_str())
-            .cmp(&(b.pdate, texts[b.rdata_idx as usize].as_str()))
-    });
-    order
-        .into_iter()
-        .map(|row| (row, &rdatas[row.rdata_idx as usize]))
-        .collect()
-}
-
 /// The passive-DNS record store.
 #[derive(Debug, Default)]
 pub struct PdnsStore {
-    entries: HashMap<Fqdn, FqdnEntry>,
+    entries: HashMap<Fqdn, DayTable>,
     total_rows: usize,
 }
 
@@ -219,26 +322,13 @@ impl PdnsStore {
             return;
         }
         fw_obs::counter_inc!("fw.dns.pdns.rows_ingested");
-        let entry = self.entries.entry(fqdn.clone()).or_default();
-        let idx = entry.intern(rdata);
-        // Same-day observations arrive consecutively in both ingestion
-        // paths; scan the tail of the row list for a mergeable row.
-        for row in entry.rows.iter_mut().rev() {
-            if row.pdate != day {
-                break;
-            }
-            if row.rdata_idx == idx {
-                row.cnt += count;
-                fw_obs::counter_inc!("fw.dns.pdns.dedup_merged");
-                return;
-            }
+        let table = self.entries.entry(fqdn.clone()).or_default();
+        let len = table.len();
+        if table.add(rdata, day, count) < len {
+            fw_obs::counter_inc!("fw.dns.pdns.dedup_merged");
+        } else {
+            self.total_rows += 1;
         }
-        entry.rows.push(DailyRow {
-            pdate: day,
-            rdata_idx: idx,
-            cnt: count,
-        });
-        self.total_rows += 1;
     }
 
     /// Number of distinct fqdns observed.
@@ -246,7 +336,8 @@ impl PdnsStore {
         self.entries.len()
     }
 
-    /// Number of daily-aggregate rows.
+    /// Number of daily-aggregate rows: distinct `(fqdn, rdata, pdate)`
+    /// keys.
     pub fn record_count(&self) -> usize {
         self.total_rows
     }
@@ -258,21 +349,19 @@ impl PdnsStore {
 
     /// Materialize the records for one fqdn, sorted by `(pdate, rdata)`.
     pub fn records_for(&self, fqdn: &Fqdn) -> Vec<PdnsRecord> {
-        let Some(entry) = self.entries.get(fqdn) else {
-            return Vec::new();
-        };
-        sorted_rows(&entry.rows, &entry.rdatas)
-            .into_iter()
-            .map(|(row, rdata)| PdnsRecord {
+        let mut out = Vec::new();
+        self.for_each_record_of(fqdn, |rtype, rdata, pdate, request_cnt| {
+            out.push(PdnsRecord {
                 fqdn: fqdn.clone(),
-                rtype: rdata.rtype(),
+                rtype,
                 rdata: rdata.clone(),
-                first_seen: row.pdate,
-                last_seen: row.pdate,
-                request_cnt: row.cnt,
-                pdate: row.pdate,
+                first_seen: pdate,
+                last_seen: pdate,
+                request_cnt,
+                pdate,
             })
-            .collect()
+        });
+        out
     }
 
     /// Visit one fqdn's rows in `records_for` order (`(pdate, rdata
@@ -283,20 +372,17 @@ impl PdnsStore {
     where
         F: FnMut(RecordType, &Rdata, DayStamp, u64),
     {
-        let Some(entry) = self.entries.get(fqdn) else {
-            return;
-        };
-        for (row, rdata) in sorted_rows(&entry.rows, &entry.rdatas) {
-            f(rdata.rtype(), rdata, row.pdate, row.cnt);
+        if let Some(table) = self.entries.get(fqdn) {
+            table.for_each_sorted(|rdata, pdate, cnt| f(rdata.rtype(), rdata, pdate, cnt));
         }
     }
 
     /// Move another store's entries into this one. Entry moves are O(1)
     /// per fqdn when the key sets are disjoint (the parallel generator's
     /// shard merge — each fqdn is minted by exactly one shard); colliding
-    /// fqdns fall back to row-by-row replay with exact `(pdate, rdata)`
-    /// merging, which commutes, so the merged store is independent of
-    /// absorb order for a given shard sequence.
+    /// fqdns replay their rows through [`DayTable::add`], whose exact
+    /// `(pdate, rdata)` merge commutes, so the merged store is
+    /// independent of absorb order for a given shard sequence.
     pub fn absorb(&mut self, other: PdnsStore) {
         if self.entries.is_empty() {
             *self = other;
@@ -305,34 +391,16 @@ impl PdnsStore {
         for (fqdn, src) in other.entries {
             match self.entries.entry(fqdn) {
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    self.total_rows += src.rows.len();
+                    self.total_rows += src.len();
                     v.insert(src);
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     let dst = o.get_mut();
-                    let mut by_key: HashMap<(DayStamp, u32), usize> = dst
-                        .rows
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| ((r.pdate, r.rdata_idx), i))
-                        .collect();
-                    for row in src.rows {
-                        let idx = dst.intern(&src.rdatas[row.rdata_idx as usize]);
-                        match by_key.entry((row.pdate, idx)) {
-                            std::collections::hash_map::Entry::Occupied(pos) => {
-                                dst.rows[*pos.get()].cnt += row.cnt;
-                            }
-                            std::collections::hash_map::Entry::Vacant(slot) => {
-                                slot.insert(dst.rows.len());
-                                dst.rows.push(DailyRow {
-                                    pdate: row.pdate,
-                                    rdata_idx: idx,
-                                    cnt: row.cnt,
-                                });
-                                self.total_rows += 1;
-                            }
-                        }
+                    let before = dst.len();
+                    for (rdata, pdate, cnt) in src.rows() {
+                        dst.add(rdata, pdate, cnt);
                     }
+                    self.total_rows += dst.len() - before;
                 }
             }
         }
@@ -344,43 +412,16 @@ impl PdnsStore {
     where
         F: FnMut(&Fqdn, RecordType, &Rdata, DayStamp, u64),
     {
-        for (fqdn, entry) in &self.entries {
-            for row in &entry.rows {
-                let rdata = &entry.rdatas[row.rdata_idx as usize];
-                f(fqdn, rdata.rtype(), rdata, row.pdate, row.cnt);
+        for (fqdn, table) in &self.entries {
+            for (rdata, pdate, cnt) in table.rows() {
+                f(fqdn, rdata.rtype(), rdata, pdate, cnt);
             }
         }
     }
 
     /// Per-fqdn aggregate (paper §3.2).
     pub fn aggregate(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
-        let entry = self.entries.get(fqdn)?;
-        let mut first = DayStamp(i64::MAX);
-        let mut last = DayStamp(i64::MIN);
-        let mut total = 0u64;
-        let mut dist: Vec<u64> = vec![0; entry.rdatas.len()];
-        let mut days: Vec<DayStamp> = Vec::with_capacity(entry.rows.len());
-        for row in &entry.rows {
-            first = first.min(row.pdate);
-            last = last.max(row.pdate);
-            total += row.cnt;
-            dist[row.rdata_idx as usize] += row.cnt;
-            days.push(row.pdate);
-        }
-        days.sort_unstable();
-        days.dedup();
-        // Sorted by rdata so aggregates from different backends (whose
-        // interning orders differ) compare equal with plain `==`.
-        let mut rdata_dist: Vec<(Rdata, u64)> = entry.rdatas.iter().cloned().zip(dist).collect();
-        rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(FqdnAggregate {
-            fqdn: fqdn.clone(),
-            first_seen_all: first,
-            last_seen_all: last,
-            days_count: days.len() as u32,
-            total_request_cnt: total,
-            rdata_dist,
-        })
+        Some(self.entries.get(fqdn)?.aggregate(fqdn))
     }
 
     /// Aggregates for every fqdn (arbitrary order).
@@ -691,8 +732,12 @@ mod tests {
         s.observe(&f, &a(1), day(5));
         s.observe(&f, &a(1), day(1));
         s.observe(&f, &a(1), day(3));
+        // Out of day order and an existing key: merges into its row.
+        s.observe(&f, &a(1), day(1));
         let recs = s.records_for(&f);
         let dates: Vec<_> = recs.iter().map(|r| r.pdate).collect();
         assert_eq!(dates, vec![day(1), day(3), day(5)]);
+        assert_eq!(recs[0].request_cnt, 2);
+        assert_eq!(s.record_count(), 3);
     }
 }

@@ -218,6 +218,12 @@ impl Resolver {
     /// vantage point sees traffic; the sensor's own interior mutability
     /// (e.g. `SharedPdns`) makes the observation append-friendly, so a
     /// cache hit never needs `&mut Resolver`.
+    ///
+    /// `now` must not decrease across callers. A hit is decided by
+    /// `expires_at > now` alone, so a query at an earlier `now` than one
+    /// that already filled the cache would be served that later entry.
+    /// The virtual clock guarantees the order: every running thread sees
+    /// the same `now` until the clock advances.
     pub fn resolve_shared(
         &self,
         name: &Fqdn,
@@ -579,7 +585,9 @@ mod tests {
     /// PDNS `request_cnt` totals must be unchanged by the lock-free read
     /// path: the same query schedule, issued through the old `&mut self`
     /// write path and through `resolve_shared` from 8 concurrent
-    /// threads, yields identical per-row counts.
+    /// threads, yields identical per-row counts and cache hits. The
+    /// threads run in time-ordered epochs, as under the virtual clock:
+    /// every query at one `now` runs concurrently, then the next `now`.
     #[test]
     fn shared_read_path_senses_identically_to_write_path() {
         use crate::pdns::SharedPdns;
@@ -593,20 +601,30 @@ mod tests {
             serial.resolve(name, RecordType::A, *now).unwrap();
         }
 
-        // Read path, 8 threads round-robin over the same schedule.
+        // Read path, 8 threads round-robin over each epoch's queries.
         let shared_pdns = SharedPdns::new();
         let shared = wildcard_resolver(Arc::new(shared_pdns.clone()));
-        std::thread::scope(|scope| {
-            for w in 0..8 {
-                let shared = &shared;
-                let schedule = &schedule;
-                scope.spawn(move || {
-                    for (name, now) in schedule.iter().skip(w).step_by(8) {
-                        shared.resolve_shared(name, RecordType::A, *now).unwrap();
-                    }
-                });
-            }
-        });
+        let mut epochs: Vec<u64> = schedule.iter().map(|(_, now)| *now).collect();
+        epochs.sort_unstable();
+        epochs.dedup();
+        for epoch in epochs {
+            let queries: Vec<&Fqdn> = schedule
+                .iter()
+                .filter(|(_, now)| *now == epoch)
+                .map(|(name, _)| name)
+                .collect();
+            std::thread::scope(|scope| {
+                for w in 0..8 {
+                    let shared = &shared;
+                    let queries = &queries;
+                    scope.spawn(move || {
+                        for name in queries.iter().skip(w).step_by(8) {
+                            shared.resolve_shared(name, RecordType::A, epoch).unwrap();
+                        }
+                    });
+                }
+            });
+        }
 
         let rows = |p: &SharedPdns| {
             let mut v = Vec::new();

@@ -424,10 +424,9 @@ mod tests {
     }
 
     /// The non-allocating visitor must see exactly the rows — and the
-    /// row order — its own backend's materializing read path produces.
-    /// (Row *lists* are not comparable across backends: `PdnsStore`
-    /// merges same-day duplicates only at the tail while `DiskStore`
-    /// merges on exact key; only aggregates are backend-invariant.)
+    /// row order — its own backend's materializing read path produces,
+    /// and both backends must visit the same rows: they merge through
+    /// the same `DayTable`.
     #[test]
     fn record_visitor_matches_records_for_order() {
         let tmp = TempDir::new("visitor");
@@ -461,6 +460,7 @@ mod tests {
                 via_disk.push((rt, rd.clone(), pd, cnt));
             });
             assert_eq!(via_disk, disk_rows, "DiskStore visitor diverges for {fqdn}");
+            assert_eq!(via_disk, via_mem, "backends' rows diverge for {fqdn}");
             checked += owned.len();
         }
         assert!(checked > 100, "workload produced enough rows to matter");

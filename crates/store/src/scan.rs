@@ -13,14 +13,17 @@
 //! The fast path requires one segment per shard — what `compact`
 //! guarantees and every snapshot written by `fw_snapshot` satisfies. A
 //! multi-segment shard (an uncompacted store) falls back to replaying
-//! that shard through an in-memory [`PdnsStore`], trading speed for the
-//! exact-merge semantics; the output is identical either way.
+//! its segments into one [`DayTable`] per fqdn, the same exact
+//! `(pdate, rdata)` merge `DiskStore::open` replays through. A key
+//! written again in a later segment therefore comes out as one row, and
+//! the rows and aggregates equal the table's either way.
 
 use crate::segment::{next_row, parse_segment};
 use crate::store::{read_superblock, shard_segment_paths};
 use crate::StoreError;
-use fw_dns::pdns::{FqdnAggregate, PdnsBackend as _, PdnsStore};
+use fw_dns::pdns::{DayTable, FqdnAggregate};
 use fw_types::{DayStamp, Fqdn, Rdata};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Per-row scan callback: `(fqdn, rdata, pdate, request_cnt)` with the
@@ -118,7 +121,7 @@ fn scan_segment_into(
 }
 
 /// Aggregate one shard: streaming for the compacted single-segment
-/// case, `PdnsStore` replay for multi-segment shards.
+/// case, `DayTable` replay for multi-segment shards.
 fn scan_shard(dir: &Path, shard: usize) -> Result<Vec<FqdnAggregate>, StoreError> {
     let mut out = Vec::new();
     scan_shard_visit(dir, shard, &mut |agg| out.push(agg), None)?;
@@ -158,25 +161,22 @@ pub fn scan_shard_visit(
         }
         many => {
             fw_obs::counter_inc!("fw.store.scan.shards_replayed");
-            let mut replay = PdnsStore::new();
+            let mut replay: BTreeMap<Fqdn, DayTable> = BTreeMap::new();
             for path in many {
                 let seg = crate::segment::read_segment(path)?;
-                for row in &seg.rows {
-                    replay.observe_count(
-                        &seg.fqdns[row.fqdn as usize],
-                        &seg.rdatas[row.rdata as usize],
-                        row.pdate,
-                        row.cnt,
-                    );
+                for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
+                    let fqdn = &seg.fqdns[run[0].fqdn as usize];
+                    let table = replay.entry(fqdn.clone()).or_default();
+                    for row in run {
+                        table.add(&seg.rdatas[row.rdata as usize], row.pdate, row.cnt);
+                    }
                 }
             }
-            for fqdn in replay.sorted_fqdns() {
+            for (fqdn, table) in &replay {
                 if let Some(visit) = on_row.as_deref_mut() {
-                    replay.for_each_record_of(&fqdn, |_rtype, rdata, pdate, cnt| {
-                        visit(&fqdn, rdata, pdate, cnt);
-                    });
+                    table.for_each_sorted(|rdata, pdate, cnt| visit(fqdn, rdata, pdate, cnt));
                 }
-                on_agg(replay.aggregate(&fqdn).expect("fqdn is in the replay"));
+                on_agg(table.aggregate(fqdn));
             }
         }
     }
@@ -228,6 +228,7 @@ pub fn stream_snapshot_aggregates(
 mod tests {
     use super::*;
     use crate::{DiskStore, StoreConfig};
+    use fw_dns::pdns::PdnsBackend as _;
     use fw_types::Fqdn;
     use std::net::Ipv4Addr;
     use std::path::PathBuf;
@@ -293,18 +294,16 @@ mod tests {
         .unwrap();
         // Two flushes → two segments per touched shard, no compaction:
         // counts for the same (fqdn, pdate, rdata) key split across
-        // segments and must be re-merged by the fallback.
+        // segments and must be re-merged by the fallback. The second
+        // segment writes day d0 again after the first wrote d0 + 1, so
+        // the replay meets that key out of day order.
         let d0 = fw_types::MEASUREMENT_START;
         for round in 0..2 {
             for i in 0..10u8 {
                 let f = fq(&format!("fn{i}.fcapp.run"));
-                store.observe_count(&f, &Rdata::V4(Ipv4Addr::new(198, 51, 100, i)), d0, 2);
-                store.observe_count(
-                    &f,
-                    &Rdata::V4(Ipv4Addr::new(198, 51, 100, i)),
-                    d0 + i64::from(round),
-                    1,
-                );
+                let r = Rdata::V4(Ipv4Addr::new(198, 51, 100, i));
+                store.observe_count(&f, &r, d0, 2);
+                store.observe_count(&f, &r, d0 + 1 - round, 1);
             }
             store.flush().unwrap();
         }
@@ -312,6 +311,26 @@ mod tests {
         let want = store.all_aggregates();
         let got = stream_snapshot_aggregates(&tmp.0, 4).unwrap();
         assert_eq!(got, want);
+
+        // Rows too: aggregates de-duplicate days and sum counts, so a
+        // key replayed into two rows would hide in them.
+        let mut want_rows = Vec::new();
+        for agg in &want {
+            store.for_each_record_of(&agg.fqdn, &mut |_, rdata, day, cnt| {
+                want_rows.push((agg.fqdn.clone(), rdata.clone(), day, cnt));
+            });
+        }
+        let mut got_rows = Vec::new();
+        for shard in 0..store.shard_count() {
+            let mut visit = |fqdn: &Fqdn, rdata: &Rdata, day, cnt| {
+                got_rows.push((fqdn.clone(), rdata.clone(), day, cnt));
+            };
+            scan_shard_visit(&tmp.0, shard, &mut |_| {}, Some(&mut visit)).unwrap();
+        }
+        got_rows.sort();
+        want_rows.sort();
+        assert_eq!(want_rows.len(), 20);
+        assert_eq!(got_rows, want_rows);
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //! Ingestion is lock-striped: an fqdn hashes (FNV-1a, stable across
 //! processes) to one of N shards, each behind its own mutex, so
 //! concurrent sensors contend only when they touch the same shard.
-//! Each shard keeps a merged in-memory table (the query view) plus
-//! per-row flush watermarks; `flush` writes the unflushed deltas as one
-//! immutable sorted segment. Reopening a store replays all segments,
-//! summing duplicate `(fqdn, rdata, pdate)` keys, which makes segments
-//! append-only and crash-tolerant: a half-written segment fails its CRC
-//! and is reported, never silently merged. `compact` rewrites each
-//! shard's flushed state as a single segment and deletes the rest.
+//! Each shard keeps one [`DayTable`] per fqdn (the query view, the
+//! same table the in-memory `PdnsStore` uses) plus each row's unflushed
+//! count beside it; `flush` writes the unflushed deltas as one
+//! immutable sorted segment. Reopening a store replays all segments
+//! through the same tables, summing duplicate `(fqdn, rdata, pdate)`
+//! keys, which makes segments append-only and crash-tolerant: a
+//! half-written segment fails its CRC and is reported, never silently
+//! merged. `compact` rewrites each shard's flushed state as a single
+//! segment and deletes the rest.
 
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
-use fw_dns::pdns::{FqdnAggregate, PdnsBackend};
+use fw_dns::pdns::{DayTable, FqdnAggregate, PdnsBackend};
 use fw_types::fnv::FnvBuildHasher;
 use fw_types::{DayStamp, Fqdn, Rdata, RecordType};
 use parking_lot::{Mutex, MutexGuard};
@@ -35,50 +37,13 @@ const SUPER_MAGIC: &[u8; 8] = b"FWSUPER\x01";
 const SUPER_VERSION: u32 = 1;
 const SUPERBLOCK: &str = "superblock.fws";
 
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    pdate: i64,
-    rdata: u32,
-    cnt: u64,
-    /// How much of `cnt` is already durable in some segment.
-    flushed: u64,
-}
-
 #[derive(Debug, Default)]
 struct Entry {
-    rdatas: Vec<Rdata>,
-    rdata_idx: HashMap<Rdata, u32, FnvBuildHasher>,
-    rows: Vec<Row>,
-    /// `(pdate, rdata_idx) → position in rows`: exact-key merge.
-    row_idx: HashMap<(i64, u32), u32, FnvBuildHasher>,
+    table: DayTable,
+    /// Per row of `table`, in its order: the part of the row's count
+    /// not yet in any segment.
+    unflushed: Vec<u64>,
     dirty: bool,
-}
-
-impl Entry {
-    fn intern(&mut self, rdata: &Rdata) -> u32 {
-        if let Some(&i) = self.rdata_idx.get(rdata) {
-            return i;
-        }
-        let i = self.rdatas.len() as u32;
-        self.rdatas.push(rdata.clone());
-        self.rdata_idx.insert(rdata.clone(), i);
-        i
-    }
-
-    /// Rebuild `row_idx` from `rows`. Segment replay skips building the
-    /// merge index for fqdns loaded from a single segment (the common
-    /// case after compaction); anything that merges into an existing
-    /// entry calls this first.
-    fn ensure_row_idx(&mut self) {
-        if self.row_idx.is_empty() && !self.rows.is_empty() {
-            self.row_idx = self
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| ((r.pdate, r.rdata), i as u32))
-                .collect();
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -110,101 +75,38 @@ struct Shard {
 }
 
 impl Shard {
-    fn observe(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
-        // Two cheap FNV lookups instead of `entry(fqdn.clone())`: the
-        // entry API would clone (allocate) the key on every observed
-        // row, not just on first sight.
-        if !self.table.contains_key(fqdn) {
-            self.table.insert(fqdn.clone(), Entry::default());
-        }
-        let entry = self.table.get_mut(fqdn).expect("key just ensured");
-        entry.ensure_row_idx();
-        let idx = entry.intern(rdata);
-        let key = (day.0, idx);
-        let was_clean;
-        match entry.row_idx.get(&key) {
-            Some(&pos) => {
-                let row = &mut entry.rows[pos as usize];
-                was_clean = row.cnt == row.flushed;
-                row.cnt += count;
-            }
-            None => {
-                entry.row_idx.insert(key, entry.rows.len() as u32);
-                entry.rows.push(Row {
-                    pdate: day.0,
-                    rdata: idx,
-                    cnt: count,
-                    flushed: 0,
-                });
-                self.rows += 1;
-                was_clean = true;
-            }
-        }
-        if was_clean {
-            self.pending += 1;
-        }
-        if !entry.dirty {
-            entry.dirty = true;
-            self.dirty.push(fqdn.clone());
-        }
-    }
-
-    /// [`observe`](Self::observe) for a batch of rows sharing one fqdn:
-    /// the table lookup and dirty bookkeeping are paid once per batch
-    /// instead of once per row. Row-for-row equivalent to calling
-    /// `observe` in iteration order (zero counts are skipped there by
-    /// the caller, here by the loop).
+    /// Merge a non-empty batch of rows with nonzero counts sharing one
+    /// fqdn: the table lookup and dirty bookkeeping are paid once per
+    /// batch. Returns the number of rows observed.
     fn observe_rows<'r>(
         &mut self,
         fqdn: &Fqdn,
         rows: impl Iterator<Item = (&'r Rdata, DayStamp, u64)>,
     ) -> u64 {
-        let mut observed = 0u64;
-        let mut new_rows = 0usize;
-        let mut newly_pending = 0usize;
-        let mut any = false;
+        // Two cheap FNV lookups instead of `entry(fqdn.clone())`: the
+        // entry API would clone (allocate) the key on every batch, not
+        // just on first sight.
         if !self.table.contains_key(fqdn) {
             self.table.insert(fqdn.clone(), Entry::default());
         }
         let entry = self.table.get_mut(fqdn).expect("key just ensured");
-        entry.ensure_row_idx();
+        let mut observed = 0u64;
         for (rdata, day, count) in rows {
-            if count == 0 {
-                continue;
-            }
-            any = true;
             observed += 1;
-            let idx = entry.intern(rdata);
-            let key = (day.0, idx);
-            let was_clean;
-            match entry.row_idx.get(&key) {
-                Some(&pos) => {
-                    let row = &mut entry.rows[pos as usize];
-                    was_clean = row.cnt == row.flushed;
-                    row.cnt += count;
-                }
-                None => {
-                    entry.row_idx.insert(key, entry.rows.len() as u32);
-                    entry.rows.push(Row {
-                        pdate: day.0,
-                        rdata: idx,
-                        cnt: count,
-                        flushed: 0,
-                    });
-                    new_rows += 1;
-                    was_clean = true;
-                }
+            let pos = entry.table.add(rdata, day, count);
+            if pos == entry.unflushed.len() {
+                entry.unflushed.push(0);
+                self.rows += 1;
             }
-            if was_clean {
-                newly_pending += 1;
+            if entry.unflushed[pos] == 0 {
+                self.pending += 1;
             }
+            entry.unflushed[pos] += count;
         }
-        if any && !entry.dirty {
+        if !entry.dirty {
             entry.dirty = true;
             self.dirty.push(fqdn.clone());
         }
-        self.rows += new_rows;
-        self.pending += newly_pending;
         observed
     }
 
@@ -223,15 +125,10 @@ impl Shard {
         for fqdn in self.dirty.drain(..) {
             let entry = self.table.get_mut(&fqdn).expect("dirty fqdn in table");
             entry.dirty = false;
-            for row in &mut entry.rows {
-                if row.cnt > row.flushed {
-                    builder.push(
-                        &fqdn,
-                        &entry.rdatas[row.rdata as usize],
-                        DayStamp(row.pdate),
-                        row.cnt - row.flushed,
-                    );
-                    row.flushed = row.cnt;
+            for ((rdata, day, _), delta) in entry.table.rows().zip(&mut entry.unflushed) {
+                if *delta > 0 {
+                    builder.push(&fqdn, rdata, day, *delta);
+                    *delta = 0;
                 }
             }
         }
@@ -260,14 +157,9 @@ impl Shard {
         let _trace = fw_obs::trace_span_arg("store/compact_shard", self.idx as u64);
         let mut builder = SegmentBuilder::with_capacity(self.table.len(), self.rows);
         for (fqdn, entry) in &self.table {
-            for row in &entry.rows {
-                if row.flushed > 0 {
-                    builder.push(
-                        fqdn,
-                        &entry.rdatas[row.rdata as usize],
-                        DayStamp(row.pdate),
-                        row.flushed,
-                    );
+            for ((rdata, day, cnt), delta) in entry.table.rows().zip(&entry.unflushed) {
+                if cnt > *delta {
+                    builder.push(fqdn, rdata, day, cnt - delta);
                 }
             }
         }
@@ -301,16 +193,10 @@ impl Shard {
         let mut builder = SegmentBuilder::for_distinct_fqdns(self.table.len(), self.rows);
         for (fqdn, entry) in &mut self.table {
             entry.dirty = false;
-            let rdatas = &entry.rdatas;
             // Table keys are distinct, so the map-free per-fqdn push
             // applies (one dictionary clone per fqdn, no dedupe hashes).
-            builder.push_fqdn_rows(
-                fqdn,
-                entry.rows.iter_mut().map(|row| {
-                    row.flushed = row.cnt;
-                    (&rdatas[row.rdata as usize], DayStamp(row.pdate), row.cnt)
-                }),
-            );
+            builder.push_fqdn_rows(fqdn, entry.table.rows());
+            entry.unflushed.fill(0);
         }
         self.dirty.clear();
         self.pending = 0;
@@ -485,60 +371,18 @@ impl DiskStore {
             let seg = read_segment(path)?;
             // Segment rows are sorted, so each fqdn forms one contiguous
             // run: resolve the table entry once per run, not per row.
-            let rows = &seg.rows;
-            let mut r = 0;
-            while r < rows.len() {
-                let fqdn_idx = rows[r].fqdn;
-                let mut end = r + 1;
-                while end < rows.len() && rows[end].fqdn == fqdn_idx {
-                    end += 1;
-                }
-                let fqdn = &seg.fqdns[fqdn_idx as usize];
+            for run in seg.rows.chunk_by(|a, b| a.fqdn == b.fqdn) {
+                let fqdn = &seg.fqdns[run[0].fqdn as usize];
                 let entry = shard.table.entry(fqdn.clone()).or_default();
-                if entry.rows.is_empty() {
-                    // First segment touching this fqdn. A builder-written
-                    // run carries unique (pdate, rdata) keys, so append
-                    // without maintaining the merge index; it is rebuilt
-                    // on demand if another segment (or a later observe)
-                    // touches this entry.
-                    entry.rows.reserve(end - r);
-                    for row in &rows[r..end] {
-                        let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
-                        entry.rows.push(Row {
-                            pdate: row.pdate.0,
-                            rdata: idx,
-                            cnt: row.cnt,
-                            flushed: row.cnt,
-                        });
-                    }
-                    shard.rows += end - r;
-                } else {
-                    entry.ensure_row_idx();
-                    for row in &rows[r..end] {
-                        let idx = entry.intern(&seg.rdatas[row.rdata as usize]);
-                        let key = (row.pdate.0, idx);
-                        match entry.row_idx.get(&key) {
-                            Some(&pos) => {
-                                let q = &mut entry.rows[pos as usize];
-                                q.cnt += row.cnt;
-                                q.flushed += row.cnt;
-                            }
-                            None => {
-                                entry.row_idx.insert(key, entry.rows.len() as u32);
-                                entry.rows.push(Row {
-                                    pdate: row.pdate.0,
-                                    rdata: idx,
-                                    cnt: row.cnt,
-                                    flushed: row.cnt,
-                                });
-                                shard.rows += 1;
-                            }
-                        }
+                for row in run {
+                    let rdata = &seg.rdatas[row.rdata as usize];
+                    if entry.table.add(rdata, row.pdate, row.cnt) == entry.unflushed.len() {
+                        entry.unflushed.push(0);
                     }
                 }
-                r = end;
             }
         }
+        shard.rows = shard.table.values().map(|e| e.table.len()).sum();
         Ok(shard)
     }
 
@@ -566,21 +410,7 @@ impl DiskStore {
     /// Record `count` observations. Lock-striped: concurrent callers on
     /// different shards proceed in parallel.
     pub fn observe_count(&self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
-        if count == 0 {
-            return;
-        }
-        assert!(
-            !self.read_only,
-            "observe_count on a read-only snapshot store"
-        );
-        fw_obs::counter_inc!("fw.store.ingest.rows");
-        let mut shard = self.shard_of(fqdn);
-        shard.observe(fqdn, rdata, day, count);
-        if self.flush_rows > 0 && shard.pending >= self.flush_rows {
-            if let Err(e) = shard.flush() {
-                self.deferred_err.lock().get_or_insert(e);
-            }
-        }
+        self.observe_rows(fqdn, std::iter::once((rdata, day, count)));
     }
 
     /// Record a batch of observations sharing one fqdn under a single
@@ -598,10 +428,7 @@ impl DiskStore {
         if rows.peek().is_none() {
             return;
         }
-        assert!(
-            !self.read_only,
-            "observe_rows on a read-only snapshot store"
-        );
+        assert!(!self.read_only, "observe on a read-only snapshot store");
         let mut shard = self.shard_of(fqdn);
         let observed = shard.observe_rows(fqdn, rows);
         fw_obs::counter_add!("fw.store.ingest.rows", observed);
@@ -704,8 +531,7 @@ impl DiskStore {
 
     fn aggregate_inner(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
         let shard = self.shard_of(fqdn);
-        let entry = shard.table.get(fqdn)?;
-        Some(aggregate_entry(fqdn, entry))
+        Some(shard.table.get(fqdn)?.table.aggregate(fqdn))
     }
 
     /// Re-ingest every row of `src` on up to `workers` producer threads.
@@ -846,35 +672,6 @@ pub(crate) fn shard_segment_paths(dir: &Path, shard: usize) -> Result<Vec<PathBu
     Ok(seg_paths)
 }
 
-/// Aggregate one in-memory entry (shared by the point lookup and the
-/// per-shard parallel sweep).
-fn aggregate_entry(fqdn: &Fqdn, entry: &Entry) -> FqdnAggregate {
-    let mut first = i64::MAX;
-    let mut last = i64::MIN;
-    let mut total = 0u64;
-    let mut dist: Vec<u64> = vec![0; entry.rdatas.len()];
-    let mut days: Vec<i64> = Vec::with_capacity(entry.rows.len());
-    for row in &entry.rows {
-        first = first.min(row.pdate);
-        last = last.max(row.pdate);
-        total += row.cnt;
-        dist[row.rdata as usize] += row.cnt;
-        days.push(row.pdate);
-    }
-    days.sort_unstable();
-    days.dedup();
-    let mut rdata_dist: Vec<(Rdata, u64)> = entry.rdatas.iter().cloned().zip(dist).collect();
-    rdata_dist.sort_by(|a, b| a.0.cmp(&b.0));
-    FqdnAggregate {
-        fqdn: fqdn.clone(),
-        first_seen_all: DayStamp(first),
-        last_seen_all: DayStamp(last),
-        days_count: days.len() as u32,
-        total_request_cnt: total,
-        rdata_dist,
-    }
-}
-
 impl PdnsBackend for DiskStore {
     fn observe_count(&mut self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp, count: u64) {
         DiskStore::observe_count(self, fqdn, rdata, day, count);
@@ -904,9 +701,8 @@ impl PdnsBackend for DiskStore {
         for shard in &self.shards {
             let shard = shard.lock();
             for (fqdn, entry) in &shard.table {
-                for row in &entry.rows {
-                    let rdata = &entry.rdatas[row.rdata as usize];
-                    f(fqdn, rdata.rtype(), rdata, DayStamp(row.pdate), row.cnt);
+                for (rdata, pdate, cnt) in entry.table.rows() {
+                    f(fqdn, rdata.rtype(), rdata, pdate, cnt);
                 }
             }
         }
@@ -922,20 +718,8 @@ impl PdnsBackend for DiskStore {
         f: &mut dyn FnMut(RecordType, &Rdata, DayStamp, u64),
     ) {
         let shard = self.shard_of(fqdn);
-        let Some(entry) = shard.table.get(fqdn) else {
-            return;
-        };
-        // Canonical `(pdate, rdata text)` order, matching
-        // `PdnsStore::records_for`; texts render once per distinct rdata.
-        let texts: Vec<String> = entry.rdatas.iter().map(|r| r.text()).collect();
-        let mut order: Vec<&Row> = entry.rows.iter().collect();
-        order.sort_by(|a, b| {
-            (a.pdate, texts[a.rdata as usize].as_str())
-                .cmp(&(b.pdate, texts[b.rdata as usize].as_str()))
-        });
-        for row in order {
-            let rdata = &entry.rdatas[row.rdata as usize];
-            f(rdata.rtype(), rdata, DayStamp(row.pdate), row.cnt);
+        if let Some(entry) = shard.table.get(fqdn) {
+            (entry.table).for_each_sorted(|rdata, pdate, cnt| f(rdata.rtype(), rdata, pdate, cnt));
         }
     }
 
@@ -959,7 +743,7 @@ impl PdnsBackend for DiskStore {
                                 shard
                                     .table
                                     .iter()
-                                    .map(|(fqdn, entry)| aggregate_entry(fqdn, entry)),
+                                    .map(|(fqdn, entry)| entry.table.aggregate(fqdn)),
                             );
                         }
                         part

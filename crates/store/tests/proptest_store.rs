@@ -1,12 +1,15 @@
 //! Property tests for the segment codec: encode → decode is lossless up
 //! to the documented canonicalization (sorting + duplicate-key merge),
 //! and any truncation or byte corruption of an encoded segment is
-//! rejected rather than mis-decoded.
+//! rejected rather than mis-decoded. Plus the store invariant both PDNS
+//! backends keep: one row per `(fqdn, rdata, pdate)` key, whatever
+//! order the observations arrive in.
 
-use fw_store::{decode_segment, SegRow, SegmentBuilder};
+use fw_dns::pdns::{PdnsBackend, PdnsStore};
+use fw_store::{decode_segment, DiskStore, SegRow, SegmentBuilder, StoreConfig};
 use fw_types::{DayStamp, Fqdn, Rdata, MEASUREMENT_START};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// A compact row spec the strategies generate: small index spaces force
@@ -179,6 +182,108 @@ proptest! {
                 }
                 (a, b) => prop_assert!(false, "scalar {:?} vs swar {:?}", a, b),
             }
+        }
+    }
+}
+
+type Obs = (Fqdn, Rdata, DayStamp, u64);
+
+/// Observations over 3 fqdns × 3 rdatas × 4 days, so a few dozen rows
+/// repeat keys, and share fqdns and rdatas across days.
+fn observations() -> impl Strategy<Value = Vec<Obs>> {
+    proptest::collection::vec((0u8..3, 0u8..3, 0i64..4, 1u64..5), 1..40).prop_map(|specs| {
+        specs
+            .into_iter()
+            .map(|(f, r, day, cnt)| {
+                (
+                    Fqdn::parse(&format!("fn{f}.lambda-url.us-east-1.on.aws")).unwrap(),
+                    Rdata::V4(Ipv4Addr::new(198, 51, 100, r)),
+                    MEASUREMENT_START + day,
+                    cnt,
+                )
+            })
+            .collect()
+    })
+}
+
+/// A backend's rows, sorted.
+fn sorted_rows(backend: &dyn PdnsBackend) -> Vec<Obs> {
+    let mut rows = Vec::new();
+    backend.for_each_row(&mut |fqdn, _, rdata, day, cnt| {
+        rows.push((fqdn.clone(), rdata.clone(), day, cnt));
+    });
+    rows.sort();
+    rows
+}
+
+/// A fresh store directory per call, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("fw-order-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every arrival order of one multiset of observations gives both
+    /// backends the same rows: exactly one per key, its count the sum.
+    /// The disk store auto-flushes every few rows, so a key's counts
+    /// also split across segments, and it is reopened from them.
+    #[test]
+    fn arrival_order_never_changes_the_rows(
+        obs in observations(),
+        seeds in proptest::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let mut want: BTreeMap<(Fqdn, Rdata, DayStamp), u64> = BTreeMap::new();
+        for (f, r, d, c) in &obs {
+            *want.entry((f.clone(), r.clone(), *d)).or_insert(0) += c;
+        }
+        let want: Vec<Obs> = want.into_iter().map(|((f, r, d), c)| (f, r, d, c)).collect();
+
+        let mut orders = vec![obs.clone(), obs.iter().rev().cloned().collect()];
+        for seed in &seeds {
+            let mut keyed: Vec<(u64, &Obs)> = obs
+                .iter()
+                .enumerate()
+                .map(|(i, o)| (fw_types::fnv::stream_seed(*seed, i as u64), o))
+                .collect();
+            keyed.sort_by_key(|(k, _)| *k);
+            orders.push(keyed.into_iter().map(|(_, o)| o.clone()).collect());
+        }
+
+        for order in &orders {
+            let mut mem = PdnsStore::new();
+            for (f, r, d, c) in order {
+                mem.observe_count(f, r, *d, *c);
+            }
+            prop_assert_eq!(sorted_rows(&mem), want.clone());
+            prop_assert_eq!(mem.record_count(), want.len());
+
+            let tmp = TempDir::new();
+            let disk = DiskStore::create(&tmp.0, StoreConfig { shards: 2, flush_rows: 3 }).unwrap();
+            for (f, r, d, c) in order {
+                disk.observe_count(f, r, *d, *c);
+            }
+            prop_assert_eq!(sorted_rows(&disk), want.clone());
+            prop_assert_eq!(disk.record_count(), want.len());
+            disk.flush().unwrap();
+            drop(disk);
+            let reopened = DiskStore::open(&tmp.0).unwrap();
+            prop_assert_eq!(sorted_rows(&reopened), want.clone());
+            prop_assert_eq!(reopened.record_count(), want.len());
         }
     }
 }

@@ -299,12 +299,27 @@ mod tests {
         assert_eq!(cp.late_rows, 1);
         assert_eq!(cp.identified, 1);
         assert_eq!(cp.total_requests, 7);
-        // Late row was applied anyway: first_seen reflects day 19_099.
+        // A late row whose `(fqdn, rdata, day)` key already has a row:
+        // counted as late, and merged into that row.
+        let summary = d.apply_batch(
+            DayStamp(19_101),
+            &[row(
+                "a1b2c3d4e5f6.lambda-url.us-east-1.on.aws",
+                1,
+                19_100,
+                3,
+            )],
+            2 * DAY_US_TEST,
+        );
+        assert_eq!(summary.late_rows, 1);
+        assert_eq!(d.checkpoint().late_rows, 2);
+        // Late rows were applied anyway: first_seen reflects day 19_099.
         let fin = d.finish();
         assert_eq!(fin.report.functions.len(), 1);
         assert_eq!(fin.report.functions[0].agg.first_seen_all, DayStamp(19_099));
         assert_eq!(fin.report.functions[0].agg.days_count, 3);
-        assert_eq!(fin.checkpoint.rows, 3);
+        assert_eq!(fin.report.functions[0].agg.total_request_cnt, 10);
+        assert_eq!(fin.checkpoint.rows, 4);
         assert_eq!(fin.store.record_count(), 3);
     }
 

@@ -115,11 +115,17 @@ where
             source.fqdn_count()
         ));
     }
-    // Raw `record_count` is a storage metric (backends merge duplicate
-    // `(fqdn, rdata, pdate)` keys differently — see `PdnsBackend`), so
-    // row-content equality is checked canonically: every fqdn's full
-    // aggregate (day counts, request totals, rdata distribution) must
-    // match between the absorbed store and the source.
+    // Every backend keeps one row per `(fqdn, rdata, pdate)` key, so the
+    // row counts must agree, and every fqdn's full aggregate (day
+    // counts, request totals, rdata distribution) must match between
+    // the absorbed store and the source.
+    if fin.store.record_count() != source.record_count() {
+        return Err(format!(
+            "store row count: streamed {} vs source {}",
+            fin.store.record_count(),
+            source.record_count()
+        ));
+    }
     let mut streamed_aggs = fin.store.par_aggregates(workers);
     let mut source_aggs = source.par_aggregates(workers);
     streamed_aggs.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
