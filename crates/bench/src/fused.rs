@@ -1,29 +1,29 @@
 //! The fused streaming pipeline (DESIGN.md §16).
 //!
-//! The staged pipeline runs four serial walls — generate → ingest →
-//! identify → usage — materializing the whole PDNS row set in memory
-//! between the first two. This module collapses them into two
-//! overlapped phases:
+//! Generate → ingest → identify → usage run as two overlapped phases
+//! instead of four serial walls:
 //!
 //! 1. **generate_ingest** — [`World::generate_into`] streams every
 //!    sampled row straight into the [`DiskStore`] as generation runs,
 //!    so the 1.8 GB in-memory `PdnsStore` never exists and the ingest
 //!    wall is hidden inside the generate wall.
-//! 2. **seal_analyze** — shard workers seal (flush + compact) each
-//!    store shard and immediately stream its single sorted segment
-//!    back through the mmap scan: rows feed a per-worker
+//! 2. **seal_analyze** — shard workers seal each store shard (one
+//!    terminal segment write) and immediately stream that single
+//!    sorted segment back through the mmap scan: rows feed a per-worker
 //!    [`UsageState`] and the commutative `rows_fnv` content hash,
 //!    per-fqdn aggregates feed the shared [`IdentifyEngine`] with the
 //!    classification verdict computed exactly once at the scan site.
 //!    Shard `k+workers` is being sealed while shard `k` is being
 //!    analyzed, so neither phase waits for the other to finish.
 //!
-//! The output is provably identical to the staged pipeline's: the row
-//! multiset landing in the store is the same (the generator's RNG
-//! streams never see the sink), every accumulator downstream of the
-//! scan is commutative and order-insensitive, and both modes finish
-//! through the same report materializers. `pipeline_gate` asserts this
-//! in CI by comparing `rows_fnv` and [`figures_digest`] across modes.
+//! The output equals the in-memory path's (`World::generate`, then
+//! identify and the usage sweeps over its `PdnsStore`): the row multiset
+//! landing in the store is the same (the generator's RNG streams never
+//! see the sink), every accumulator downstream of the scan is
+//! commutative and order-insensitive, and both finish through the same
+//! report materializers. `tests/fused_equivalence.rs` checks this, and
+//! CI pins `pipeline_gate`'s `rows_fnv` and [`figures_digest`] to
+//! committed values.
 
 use fw_core::identify::{classify_fqdn, IdentificationReport, IdentifyEngine};
 use fw_core::usage::{usage_sampled, IngressRow, MonthlySeries, SampledUsage, UsageState};
@@ -65,7 +65,7 @@ pub struct FusedRun {
     pub rows: usize,
     pub fqdns: usize,
     /// Commutative content hash of the scanned rows — equals
-    /// `pdns_content_hash` of the staged world's in-memory store.
+    /// `pdns_content_hash` of the in-memory world's store.
     pub rows_fnv: u64,
     /// Per-shard ingest/flush accounting, captured at seal time
     /// (before any table release), sorted by shard index.
@@ -73,8 +73,8 @@ pub struct FusedRun {
     /// Wall time of the fused generate+ingest phase.
     pub generate_ingest_ms: f64,
     /// Process RSS high-water mark (VmHWM, KiB) at the end of the
-    /// generate+ingest phase — the headline memory number: the staged
-    /// pipeline peaks here on the materialized in-memory row set.
+    /// generate+ingest phase — the headline memory number: the
+    /// in-memory world peaks here on the materialized row set.
     /// `None` off Linux.
     pub generate_ingest_rss_kb: Option<u64>,
     /// Wall time of the overlapped seal+analyze phase.
@@ -268,10 +268,9 @@ pub fn run_fused(
 /// Order-insensitive digest of everything the figure binaries would
 /// print from a pipeline run: the identification report, the Figure 4
 /// monthly series, and the Table 2 ingress rows (f64 cells hashed by
-/// bit pattern — both pipeline modes reduce sorted count multisets, so
-/// equal inputs give bit-equal floats). `pipeline_gate` prints it on
-/// stdout in both modes; CI diffs the two lines to prove the fused
-/// pipeline changes nothing but wall time.
+/// bit pattern — every path reduces sorted count multisets, so equal
+/// inputs give bit-equal floats). `pipeline_gate` prints it on stdout;
+/// CI diffs that line against a committed value.
 pub fn figures_digest(
     report: &IdentificationReport,
     monthly: &MonthlySeries,

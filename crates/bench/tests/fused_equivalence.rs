@@ -1,13 +1,14 @@
 //! The fused pipeline is a pure performance change: at the same
 //! seed/scale it must produce the identical row content hash and the
-//! identical figure digest as the staged generate → ingest → identify
-//! → usage pipeline, at every worker count (DESIGN.md §16).
+//! identical figure digest as the in-memory path — `World::generate`,
+//! then identify and the usage sweeps over its `PdnsStore` — at every
+//! worker count (DESIGN.md §16). The reference never touches
+//! `fw-store`: no `DiskStore`, no segment, no scan.
 
 use fw_bench::fused::{figures_digest, run_fused, FusedOptions};
-use fw_core::identify::identify_from_aggregates;
+use fw_core::identify::identify_functions_with;
 use fw_core::usage::{ingress_table_with, monthly_requests_with, usage_sampled};
-use fw_store::{stream_snapshot_aggregates, DiskStore};
-use fw_workload::{pdns_content_hash, save_pdns_parallel, World, WorldConfig};
+use fw_workload::{pdns_content_hash, World, WorldConfig};
 use std::path::{Path, PathBuf};
 
 struct TempDir(PathBuf);
@@ -29,18 +30,15 @@ impl Drop for TempDir {
     }
 }
 
-/// Staged reference run: (rows_fnv, figures_fnv, exact monthly/ingress
-/// retained through the digest only).
-fn staged_digests(config: WorldConfig, dir: &Path) -> (u64, u64, u64) {
+/// In-memory reference run: (rows_fnv, exact figures digest, sampled
+/// figures digest at rate 0.5).
+fn reference_digests(config: WorldConfig) -> (u64, u64, u64) {
     let world = World::generate(config);
     let rows_fnv = pdns_content_hash(&world.pdns);
-    save_pdns_parallel(&world.pdns, dir, 8, 2).expect("staged ingest");
-    let aggs = stream_snapshot_aggregates(dir, 2).expect("staged scan");
-    let report = identify_from_aggregates(aggs, 2);
-    let disk = DiskStore::open_read_only(dir).expect("reopen");
-    let monthly = monthly_requests_with(&report, &disk, 2);
-    let ingress = ingress_table_with(&report, &disk, 2);
-    let sampled = usage_sampled(&report, &disk, 2, 0.5);
+    let report = identify_functions_with(&world.pdns, 2);
+    let monthly = monthly_requests_with(&report, &world.pdns, 2);
+    let ingress = ingress_table_with(&report, &world.pdns, 2);
+    let sampled = usage_sampled(&report, &world.pdns, 2, 0.5);
     let sampled_fnv = figures_digest(&report, &sampled.monthly, &sampled.ingress);
     (
         rows_fnv,
@@ -50,10 +48,9 @@ fn staged_digests(config: WorldConfig, dir: &Path) -> (u64, u64, u64) {
 }
 
 #[test]
-fn fused_matches_staged_at_every_worker_count() {
+fn fused_matches_in_memory_at_every_worker_count() {
     let config = WorldConfig::usage(7, 0.003);
-    let staged_dir = TempDir::new("staged");
-    let (rows_fnv, figures_fnv, _) = staged_digests(config.clone(), staged_dir.path());
+    let (rows_fnv, figures_fnv, _) = reference_digests(config.clone());
 
     for workers in [1usize, 4] {
         let dir = TempDir::new(&format!("fused-w{workers}"));
@@ -86,10 +83,9 @@ fn fused_matches_staged_at_every_worker_count() {
 }
 
 #[test]
-fn fused_sampled_matches_staged_sampled() {
+fn fused_sampled_matches_in_memory_sampled() {
     let config = WorldConfig::usage(7, 0.003);
-    let staged_dir = TempDir::new("staged-sample");
-    let (rows_fnv, _, staged_sampled_fnv) = staged_digests(config.clone(), staged_dir.path());
+    let (rows_fnv, _, sampled_fnv) = reference_digests(config.clone());
 
     let dir = TempDir::new("fused-sample");
     let run = run_fused(
@@ -107,7 +103,7 @@ fn fused_sampled_matches_staged_sampled() {
     assert!(sampled.sampled_functions <= sampled.total_functions);
     assert_eq!(
         figures_digest(&run.report, &run.monthly, &run.ingress),
-        staged_sampled_fnv,
-        "sampled figure digest diverged between modes"
+        sampled_fnv,
+        "sampled figure digest diverged from the in-memory path"
     );
 }

@@ -10,7 +10,7 @@
 //! machine, [`IdentifyEngine`]: the streaming daemon feeds it raw
 //! [`PdnsRow`]s batch by batch and consumes [`VerdictChange`] deltas,
 //! while the batch sweeps ([`identify_functions`],
-//! [`identify_from_aggregates`]) are thin wrappers that load the same
+//! [`identify_functions_with`]) are thin wrappers that load the same
 //! engine from pre-computed aggregates — so a daemon's final state is
 //! provably identical to a batch run over the same rows.
 
@@ -534,23 +534,16 @@ pub fn identify_functions<B: PdnsBackend + ?Sized>(pdns: &B) -> IdentificationRe
 
 /// [`identify_functions`] with an explicit worker count. The result is
 /// independent of `workers`: classification is a pure per-fqdn function
-/// and the output keeps the backend's sorted-fqdn order.
+/// and the output keeps the backend's sorted-fqdn order. Loads the
+/// backend's aggregates into a fresh [`IdentifyEngine`] and
+/// materializes its report (functions sorted by fqdn; aggregates pass
+/// through verbatim).
 pub fn identify_functions_with<B: PdnsBackend + ?Sized>(
     pdns: &B,
     workers: usize,
 ) -> IdentificationReport {
-    identify_from_aggregates(pdns.par_aggregates(workers), workers)
-}
-
-/// Identify functions from pre-computed per-fqdn aggregates — the
-/// columnar fast path. `fw_store::stream_snapshot_aggregates` feeds this
-/// directly from snapshot segments without building store tables. A
-/// thin wrapper over [`IdentifyEngine`]: loads the aggregates into a
-/// fresh engine and materializes its report (functions sorted by fqdn;
-/// aggregates pass through verbatim).
-pub fn identify_from_aggregates(aggs: Vec<FqdnAggregate>, workers: usize) -> IdentificationReport {
     let mut engine = IdentifyEngine::batch(workers);
-    engine.absorb_aggregates(aggs);
+    engine.absorb_aggregates(pdns.par_aggregates(workers));
     engine.into_report()
 }
 

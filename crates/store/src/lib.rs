@@ -13,9 +13,11 @@
 //!   the byte layout).
 //! * [`DiskStore`] — N hash-sharded, lock-striped in-memory tables, each
 //!   journaled to its own segment directory; `flush` persists unflushed
-//!   deltas as sorted segments, `compact` folds a shard's segments into
-//!   one. Reopening replays segments and reproduces identical
-//!   [`fw_dns::pdns::FqdnAggregate`]s.
+//!   deltas as sorted segments, `seal` rewrites each shard as one
+//!   segment (the terminal write every snapshot ends with). Reopening
+//!   replays segments and reproduces identical
+//!   [`fw_dns::pdns::FqdnAggregate`]s; [`scan_shard_visit`] streams a
+//!   sealed shard's rows and aggregates without building the tables.
 //! * [`fw_dns::pdns::PdnsBackend`] — the storage trait the measurement
 //!   pipeline consumes; `DiskStore` and the in-memory `PdnsStore` are
 //!   interchangeable behind it.
@@ -32,9 +34,9 @@ mod segment;
 mod store;
 
 pub use crc::crc32;
-pub use scan::{scan_shard_visit, stream_snapshot_aggregates, RowVisitor};
+pub use scan::{scan_shard_visit, RowVisitor};
 pub use segment::{decode_segment, read_segment, SegRow, SegmentBuilder, SegmentData};
-pub use store::{DiskStore, ShardIngestStats, SharedDiskStore};
+pub use store::{DiskStore, ShardIngestStats};
 
 use std::path::PathBuf;
 
@@ -44,7 +46,7 @@ pub struct StoreConfig {
     /// Number of hash shards (lock stripes / segment directories).
     pub shards: usize,
     /// Auto-flush a shard once this many rows hold unflushed deltas
-    /// (0 disables auto-flush; `flush`/`compact` remain explicit).
+    /// (0 disables auto-flush; `flush`/`seal` remain explicit).
     pub flush_rows: usize,
 }
 
@@ -233,7 +235,7 @@ mod tests {
         }
         let before = store.all_aggregates();
         assert!(store.segment_count() >= 5);
-        store.compact().unwrap();
+        store.seal().unwrap();
         assert!(store.segment_count() <= 2, "one segment per shard");
         assert_eq!(store.all_aggregates(), before);
         drop(store);
@@ -482,32 +484,6 @@ mod tests {
                 want,
                 "disk workers={workers}"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_ingest_matches_serial() {
-        let src_tmp = TempDir::new("ingest-src");
-        let (mem, _src_disk) = twin_stores(&src_tmp);
-        let mut want = None;
-        for workers in [1, 3, 8] {
-            let tmp = TempDir::new(&format!("ingest-w{workers}"));
-            let dst = DiskStore::create(
-                tmp.path(),
-                StoreConfig {
-                    shards: 4,
-                    flush_rows: 512,
-                },
-            )
-            .unwrap();
-            dst.ingest_parallel(&mem, workers);
-            dst.compact().unwrap();
-            let got = dst.all_aggregates();
-            assert_eq!(got, mem.all_aggregates(), "workers={workers}");
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(&got, w, "workers={workers}"),
-            }
         }
     }
 }

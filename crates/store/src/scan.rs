@@ -1,25 +1,26 @@
-//! Streaming columnar scan: segment bytes → per-fqdn aggregates.
+//! Streaming columnar scan: one shard's segment bytes → its rows and
+//! per-fqdn aggregates.
 //!
 //! `DiskStore::open` replays every segment into per-shard hash tables
 //! before anything can be queried — the right trade when the store will
-//! be queried repeatedly, but pure overhead for the identification
-//! stage, which needs exactly one [`FqdnAggregate`] per fqdn and never
-//! looks at the table again. This module decodes the delta-encoded rows
-//! block directly into aggregates instead: segment rows are sorted by
-//! `(fqdn, pdate, rdata)`, so each fqdn is one contiguous run, the day
-//! count is a run-length count over `pdate`, and no intermediate
-//! `SegRow` vector, hash table, or `PdnsRecord` is ever materialized.
+//! be queried repeatedly, but pure overhead for the fused pipeline,
+//! which reads each sealed shard exactly once. [`scan_shard_visit`]
+//! decodes the delta-encoded rows block directly instead: segment rows
+//! are sorted by `(fqdn, pdate, rdata)`, so each fqdn is one contiguous
+//! run, the day count is a run-length count over `pdate`, and no
+//! intermediate `SegRow` vector, hash table, or `PdnsRecord` is ever
+//! materialized.
 //!
-//! The fast path requires one segment per shard — what `compact`
-//! guarantees and every snapshot written by `fw_snapshot` satisfies. A
-//! multi-segment shard (an uncompacted store) falls back to replaying
+//! The fast path requires one segment per shard — what `seal`
+//! guarantees, and so every snapshot and every fused-pipeline store. A
+//! multi-segment shard (flushed but not sealed) falls back to replaying
 //! its segments into one [`DayTable`] per fqdn, the same exact
 //! `(pdate, rdata)` merge `DiskStore::open` replays through. A key
 //! written again in a later segment therefore comes out as one row, and
 //! the rows and aggregates equal the table's either way.
 
 use crate::segment::{next_row, parse_segment};
-use crate::store::{read_superblock, shard_segment_paths};
+use crate::store::shard_segment_paths;
 use crate::StoreError;
 use fw_dns::pdns::{DayTable, FqdnAggregate};
 use fw_types::{DayStamp, Fqdn, Rdata};
@@ -120,14 +121,6 @@ fn scan_segment_into(
     Ok(())
 }
 
-/// Aggregate one shard: streaming for the compacted single-segment
-/// case, `DayTable` replay for multi-segment shards.
-fn scan_shard(dir: &Path, shard: usize) -> Result<Vec<FqdnAggregate>, StoreError> {
-    let mut out = Vec::new();
-    scan_shard_visit(dir, shard, &mut |agg| out.push(agg), None)?;
-    Ok(out)
-}
-
 /// Stream one shard of a snapshot directory in a single pass, emitting
 /// both per-fqdn aggregates and individual rows.
 ///
@@ -183,50 +176,10 @@ pub fn scan_shard_visit(
     Ok(())
 }
 
-/// Aggregate a snapshot directory directly from its segments on up to
-/// `workers` threads, without building `DiskStore` shard tables.
-///
-/// Output is sorted by fqdn — element-wise equal to
-/// `DiskStore::open_read_only(dir)?.all_aggregates()` — and independent
-/// of the worker count: workers claim whole shards round-robin and the
-/// final sort erases completion order.
-pub fn stream_snapshot_aggregates(
-    dir: &Path,
-    workers: usize,
-) -> Result<Vec<FqdnAggregate>, StoreError> {
-    let _span = fw_obs::span("store/stream_scan");
-    let shard_count = read_superblock(dir)?;
-    let workers = workers.clamp(1, shard_count);
-    let fork = fw_obs::current_trace_span();
-    let parts: Vec<Result<Vec<FqdnAggregate>, StoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let _trace = fw_obs::trace_span_child_of(fork, "store/scan_worker", w as u64);
-                    let mut part = Vec::new();
-                    for shard in (w..shard_count).step_by(workers) {
-                        part.extend(scan_shard(dir, shard)?);
-                    }
-                    Ok(part)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan workers do not panic"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for part in parts {
-        out.extend(part?);
-    }
-    out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::read_superblock;
     use crate::{DiskStore, StoreConfig};
     use fw_dns::pdns::PdnsBackend as _;
     use fw_types::Fqdn;
@@ -255,6 +208,18 @@ mod tests {
         Fqdn::parse(s).unwrap()
     }
 
+    /// Every shard's aggregates through `scan_shard_visit`, sorted by
+    /// fqdn — the shard count comes from the superblock, as a reader of
+    /// a snapshot directory would get it.
+    fn scan_all(dir: &Path) -> Result<Vec<FqdnAggregate>, StoreError> {
+        let mut out = Vec::new();
+        for shard in 0..read_superblock(dir)? {
+            scan_shard_visit(dir, shard, &mut |agg| out.push(agg), None)?;
+        }
+        out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
+        Ok(out)
+    }
+
     fn fill(store: &DiskStore) {
         let d0 = fw_types::MEASUREMENT_START;
         for i in 0..60u8 {
@@ -273,12 +238,8 @@ mod tests {
         let tmp = TempDir::new("equal");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
-        let want = store.all_aggregates();
-        for workers in [1, 3, 8] {
-            let got = stream_snapshot_aggregates(&tmp.0, workers).unwrap();
-            assert_eq!(got, want, "workers={workers}");
-        }
+        store.seal().unwrap();
+        assert_eq!(scan_all(&tmp.0).unwrap(), store.all_aggregates());
     }
 
     #[test]
@@ -292,7 +253,7 @@ mod tests {
             },
         )
         .unwrap();
-        // Two flushes → two segments per touched shard, no compaction:
+        // Two flushes → two segments per touched shard, no seal:
         // counts for the same (fqdn, pdate, rdata) key split across
         // segments and must be re-merged by the fallback. The second
         // segment writes day d0 again after the first wrote d0 + 1, so
@@ -309,8 +270,7 @@ mod tests {
         }
         assert!(store.segment_count() > store.shard_count());
         let want = store.all_aggregates();
-        let got = stream_snapshot_aggregates(&tmp.0, 4).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(scan_all(&tmp.0).unwrap(), want);
 
         // Rows too: aggregates de-duplicate days and sum counts, so a
         // key replayed into two rows would hide in them.
@@ -338,7 +298,7 @@ mod tests {
         let tmp = TempDir::new("visit");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
+        store.seal().unwrap();
         let want = store.all_aggregates();
         let shard_count = store.shard_count();
         drop(store);
@@ -399,9 +359,9 @@ mod tests {
         let tmp = TempDir::new("bitrot");
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         fill(&store);
-        store.compact().unwrap();
+        store.seal().unwrap();
         drop(store);
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).is_ok());
+        assert!(scan_all(&tmp.0).is_ok());
 
         // Flip one byte in the middle of each shard's segment: the
         // mmap-backed scan must reject every poisoned shard via CRC.
@@ -416,14 +376,14 @@ mod tests {
                 bytes[mid] ^= 0x40;
                 std::fs::write(&path, &bytes).unwrap();
                 flipped += 1;
-                let err = scan_shard(&tmp.0, shard);
+                let err = scan_shard_visit(&tmp.0, shard, &mut |_| {}, None);
                 assert!(err.is_err(), "bit rot in {} must not scan", path.display());
                 bytes[mid] ^= 0x40;
                 std::fs::write(&path, &bytes).unwrap();
             }
         }
         assert!(flipped > 0, "test must have poisoned at least one segment");
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).is_ok());
+        assert!(scan_all(&tmp.0).is_ok());
     }
 
     #[test]
@@ -432,6 +392,6 @@ mod tests {
         let store = DiskStore::create(&tmp.0, StoreConfig::default()).unwrap();
         store.flush().unwrap();
         drop(store);
-        assert!(stream_snapshot_aggregates(&tmp.0, 4).unwrap().is_empty());
+        assert!(scan_all(&tmp.0).unwrap().is_empty());
     }
 }

@@ -19,8 +19,14 @@
 //! through the same tables, summing duplicate `(fqdn, rdata, pdate)`
 //! keys, which makes segments append-only and crash-tolerant: a
 //! half-written segment fails its CRC and is reported, never silently
-//! merged. `compact` rewrites each shard's flushed state as a single
-//! segment and deletes the rest.
+//! merged.
+//!
+//! Sealing is the one terminal write: `seal` (or `seal_shard`, one
+//! shard at a time) encodes a shard's whole table as a single sorted
+//! segment and deletes the segments written before it. Every snapshot
+//! on disk is written that way — a store created with `flush_rows: 0`,
+//! filled by `World::generate_into`, then sealed — so the scan's
+//! single-segment fast path is the common case.
 
 use crate::segment::{read_segment, SegmentBuilder};
 use crate::{StoreConfig, StoreError};
@@ -70,7 +76,7 @@ struct Shard {
     /// Duration of every individual flush, for tail-latency (p99)
     /// accounting in the gate report.
     flush_samples_ns: Vec<u64>,
-    /// Segment bytes written by this shard (flush + compact).
+    /// Segment bytes written by this shard (flush + seal).
     bytes_written: u64,
 }
 
@@ -149,39 +155,11 @@ impl Shard {
         Ok(bytes.len() as u64)
     }
 
-    /// Rewrite the flushed state as a single segment; drop the others.
-    fn compact(&mut self) -> Result<(), StoreError> {
-        if self.segments.len() < 2 {
-            return Ok(());
-        }
-        let _trace = fw_obs::trace_span_arg("store/compact_shard", self.idx as u64);
-        let mut builder = SegmentBuilder::with_capacity(self.table.len(), self.rows);
-        for (fqdn, entry) in &self.table {
-            for ((rdata, day, cnt), delta) in entry.table.rows().zip(&entry.unflushed) {
-                if cnt > *delta {
-                    builder.push(fqdn, rdata, day, cnt - delta);
-                }
-            }
-        }
-        let Some(bytes) = builder.finish() else {
-            return Ok(());
-        };
-        let path = self.write_segment(&bytes)?;
-        for old in std::mem::take(&mut self.segments) {
-            std::fs::remove_file(&old)?;
-        }
-        self.segments.push(path);
-        self.bytes_written += bytes.len() as u64;
-        fw_obs::counter_inc!("fw.store.compactions");
-        fw_obs::counter_add!("fw.store.bytes_written", bytes.len() as u64);
-        Ok(())
-    }
-
-    /// Terminal write for an ingest-then-scan pipeline: encode the whole
-    /// in-memory table as one segment and drop the incremental segments.
-    /// Content-equivalent to `flush` + `compact`, but the data is
-    /// encoded and written once — the staged sequence writes the pending
-    /// deltas, then re-encodes every flushed row a second time.
+    /// Terminal write: encode the whole in-memory table as one segment
+    /// and drop the segments earlier flushes wrote. Holds exactly the
+    /// table's content (flushed and unflushed counts alike), written
+    /// once. A shard with nothing unflushed and at most one segment is
+    /// already sealed and is left alone.
     fn seal(&mut self) -> Result<(), StoreError> {
         if self.pending == 0 && self.segments.len() < 2 {
             self.dirty.clear();
@@ -417,8 +395,8 @@ impl DiskStore {
     /// shard lock. Equivalent to [`observe_count`](Self::observe_count)
     /// once per element in iteration order, except the flush-threshold
     /// check runs once per batch — which can only shift *where* a
-    /// flush-mode store cuts its pre-compaction segments, never the
-    /// merged row content.
+    /// flush-mode store cuts its pre-seal segments, never the merged
+    /// row content.
     pub fn observe_rows<'r>(
         &self,
         fqdn: &Fqdn,
@@ -468,32 +446,28 @@ impl DiskStore {
         Ok(total)
     }
 
-    /// Merge each shard's segments into one (after a final flush).
-    pub fn compact(&self) -> Result<(), StoreError> {
-        self.flush()?;
-        let _span = fw_obs::span("store/compact");
+    /// Seal every shard (see [`seal_shard`](Self::seal_shard)) on one
+    /// thread per shard: the store ends as one sorted segment per
+    /// non-empty shard, ready for the streaming scan.
+    pub fn seal(&self) -> Result<(), StoreError> {
+        let _span = fw_obs::span("store/seal");
         let parts: Vec<Result<(), StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.lock().compact()))
+            let handles: Vec<_> = (0..self.shards.len())
+                .map(|shard| scope.spawn(move || self.seal_shard(shard)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("compact workers do not panic"))
+                .map(|h| h.join().expect("seal workers do not panic"))
                 .collect()
         });
-        for part in parts {
-            part?;
-        }
-        Ok(())
+        parts.into_iter().collect()
     }
 
-    /// Flush and compact one shard, leaving it a single sorted segment
-    /// ready for the streaming scan. The per-shard half of `compact`:
-    /// the fused pipeline seals shards individually so identify/usage
-    /// can consume a sealed shard while later shards are still
-    /// flushing. Also surfaces any deferred auto-flush error.
+    /// Seal one shard, leaving it a single sorted segment ready for the
+    /// streaming scan. The per-shard half of [`seal`](Self::seal): the
+    /// fused pipeline seals shards individually so identify/usage can
+    /// consume a sealed shard while later shards are still sealing.
+    /// Also surfaces any deferred auto-flush error.
     pub fn seal_shard(&self, shard: usize) -> Result<(), StoreError> {
         if let Some(e) = self.deferred_err.lock().take() {
             return Err(e);
@@ -524,75 +498,33 @@ impl DiskStore {
 
     /// One shard's [`ShardIngestStats`], for callers that seal and
     /// release shards individually and need the counts before the table
-    /// is dropped.
+    /// is dropped. Row counts cover the current table (including
+    /// replayed segments); flush timings cover only work done through
+    /// this handle.
     pub fn shard_stats(&self, shard: usize) -> ShardIngestStats {
-        stats_of(&self.shards[shard].lock())
+        let s = self.shards[shard].lock();
+        let flush_p99_ns = if s.flush_samples_ns.is_empty() {
+            0
+        } else {
+            let mut sorted = s.flush_samples_ns.clone();
+            sorted.sort_unstable();
+            sorted[(sorted.len() * 99).div_ceil(100).saturating_sub(1)]
+        };
+        ShardIngestStats {
+            shard: s.idx,
+            fqdns: s.table.len(),
+            rows: s.rows,
+            flushes: s.flushes,
+            flush_ns: s.flush_ns,
+            flush_p99_ns,
+            bytes_written: s.bytes_written,
+            segments: s.segments.len(),
+        }
     }
 
     fn aggregate_inner(&self, fqdn: &Fqdn) -> Option<FqdnAggregate> {
         let shard = self.shard_of(fqdn);
         Some(shard.table.get(fqdn)?.table.aggregate(fqdn))
-    }
-
-    /// Re-ingest every row of `src` on up to `workers` producer threads.
-    /// Producers partition `src`'s fqdns round-robin over a sorted list
-    /// (same scheme as `par_map_indexed`), so each fqdn's rows are
-    /// written by exactly one producer in `records_for` order — the
-    /// merged table contents are identical at any worker count; only
-    /// segment *boundaries* (auto-flush timing) may differ, and those
-    /// are erased by `compact`.
-    pub fn ingest_parallel<B: PdnsBackend + ?Sized>(&self, src: &B, workers: usize) {
-        let _span = fw_obs::span("store/ingest");
-        let fqdns = src.sorted_fqdns();
-        let workers = workers.clamp(1, fqdns.len().max(1));
-        fw_obs::counter_add!("fw.store.ingest.producers", workers as u64);
-        if workers == 1 {
-            src.for_each_row(&mut |fqdn, _rtype, rdata, pdate, cnt| {
-                self.observe_count(fqdn, rdata, pdate, cnt);
-            });
-            return;
-        }
-        let fork = fw_obs::current_trace_span();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let fqdns = &fqdns;
-                scope.spawn(move || {
-                    let _trace = fw_obs::trace_span_child_of(fork, "store/ingest_worker", w as u64);
-                    for fqdn in fqdns.iter().skip(w).step_by(workers) {
-                        src.for_each_record_of(fqdn, &mut |_rtype, rdata, pdate, cnt| {
-                            self.observe_count(fqdn, rdata, pdate, cnt);
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    /// Per-shard ingest/flush accounting since this handle was created.
-    /// Row counts cover the current table (including replayed segments);
-    /// flush timings cover only work done through this handle.
-    pub fn shard_ingest_stats(&self) -> Vec<ShardIngestStats> {
-        self.shards.iter().map(|s| stats_of(&s.lock())).collect()
-    }
-}
-
-fn stats_of(s: &Shard) -> ShardIngestStats {
-    let flush_p99_ns = if s.flush_samples_ns.is_empty() {
-        0
-    } else {
-        let mut sorted = s.flush_samples_ns.clone();
-        sorted.sort_unstable();
-        sorted[(sorted.len() * 99).div_ceil(100).saturating_sub(1)]
-    };
-    ShardIngestStats {
-        shard: s.idx,
-        fqdns: s.table.len(),
-        rows: s.rows,
-        flushes: s.flushes,
-        flush_ns: s.flush_ns,
-        flush_p99_ns,
-        bytes_written: s.bytes_written,
-        segments: s.segments.len(),
     }
 }
 
@@ -613,15 +545,14 @@ pub struct ShardIngestStats {
     /// p99 of individual flush durations through this handle (0 if the
     /// shard never flushed).
     pub flush_p99_ns: u64,
-    /// Segment bytes written (flush + compact) through this handle.
+    /// Segment bytes written (flush + seal) through this handle.
     pub bytes_written: u64,
     /// Segment files currently on disk.
     pub segments: usize,
 }
 
 /// Read and verify a store directory's superblock; returns the shard
-/// count. Shared by `DiskStore::open` and the streaming snapshot scan,
-/// which reads segments without building shard tables.
+/// count.
 pub(crate) fn read_superblock(dir: &Path) -> Result<usize, StoreError> {
     let superblock = std::fs::read(dir.join(SUPERBLOCK))?;
     if superblock.len() != 24 || &superblock[..8] != SUPER_MAGIC {
@@ -655,7 +586,7 @@ pub(crate) fn read_superblock(dir: &Path) -> Result<usize, StoreError> {
 }
 
 /// List one shard directory's segment files in replay order. Shared by
-/// `DiskStore::load_shard` and the streaming snapshot scan.
+/// `DiskStore::load_shard` and the streaming shard scan.
 pub(crate) fn shard_segment_paths(dir: &Path, shard: usize) -> Result<Vec<PathBuf>, StoreError> {
     let shard_dir = dir.join(format!("shard-{shard:03}"));
     let mut seg_paths: Vec<PathBuf> = Vec::new();
@@ -757,17 +688,5 @@ impl PdnsBackend for DiskStore {
         });
         out.sort_by(|a, b| a.fqdn.cmp(&b.fqdn));
         out
-    }
-}
-
-/// Shareable handle implementing the resolver [`fw_dns::resolver::Sensor`],
-/// so live traffic can feed the disk store directly, sharded writes and
-/// all.
-#[derive(Clone)]
-pub struct SharedDiskStore(pub std::sync::Arc<DiskStore>);
-
-impl fw_dns::resolver::Sensor for SharedDiskStore {
-    fn observe(&self, fqdn: &Fqdn, rdata: &Rdata, day: DayStamp) {
-        self.0.observe_count(fqdn, rdata, day, 1);
     }
 }

@@ -2,9 +2,13 @@
 //!
 //! ```text
 //! fw_snapshot --snapshot-out <dir> [--scale <f64>] [--seed <u64>]
-//!             [--shards <n>] [--gen-workers <n>] [--ingest-workers <n>]
-//!             [--live] [--metrics]
+//!             [--shards <n>] [--gen-workers <n>] [--live] [--metrics]
 //! ```
+//!
+//! The world is generated straight into the store and each shard is
+//! sealed to one sorted segment (`fw_workload::write_snapshot`); the
+//! in-memory row set is never built. `world.meta` records the seed,
+//! scale, flavor and the rows' content hash (`rows_fnv`).
 //!
 //! The snapshot can then be reopened read-only by any fw-bench figure
 //! binary via `--snapshot <dir>`, skipping world generation entirely
@@ -16,7 +20,8 @@
 //! feeds mint different fqdns at the same seed, so pick the flavor
 //! matching the binaries you want to replay.
 
-use fw_workload::{World, WorldConfig};
+use fw_dns::pdns::PdnsBackend as _;
+use fw_workload::{write_snapshot, WorldConfig};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -31,7 +36,6 @@ fn main() {
     let mut seed = 42u64;
     let mut shards = 16usize;
     let mut gen_workers = 0usize;
-    let mut ingest_workers = 0usize;
     let mut live = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -66,17 +70,11 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--gen-workers needs an integer"));
             }
-            "--ingest-workers" => {
-                ingest_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--ingest-workers needs an integer"));
-            }
             "--live" => live = true,
             "--metrics" => fw_obs::set_enabled(true),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: fw_snapshot --snapshot-out <dir> [--scale <f64>] [--seed <u64>] [--shards <n>] [--gen-workers <n>] [--ingest-workers <n>] [--live] [--metrics]"
+                    "usage: fw_snapshot --snapshot-out <dir> [--scale <f64>] [--seed <u64>] [--shards <n>] [--gen-workers <n>] [--live] [--metrics]"
                 );
                 std::process::exit(0);
             }
@@ -86,42 +84,30 @@ fn main() {
     let out = out.unwrap_or_else(|| die("--snapshot-out <dir> is required"));
 
     let flavor = if live { "live" } else { "PDNS only" };
-    eprintln!("generating world: scale {scale} seed {seed} ({flavor})...");
-    let gen_start = Instant::now();
+    eprintln!(
+        "generating world: scale {scale} seed {seed} ({flavor}) into {}...",
+        out.display()
+    );
+    let start = Instant::now();
     let mut config = if live {
         WorldConfig::live(seed, scale)
     } else {
         WorldConfig::usage(seed, scale)
     };
     config.gen_workers = gen_workers;
-    let world = World::generate(config);
-    let gen_elapsed = gen_start.elapsed();
-    eprintln!(
-        "world ready in {:.2?}: {} pdns rows; writing snapshot to {}...",
-        gen_elapsed,
-        world.pdns.record_count(),
-        out.display()
-    );
-
-    let save_start = Instant::now();
-    let ingest_workers = if ingest_workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        ingest_workers
-    };
-    match world.save_snapshot_parallel(&out, shards, ingest_workers) {
-        Ok(stats) => {
+    match write_snapshot(config, &out, shards) {
+        Ok(store) => {
             println!(
                 "snapshot: {} fqdns, {} rows, {} shards, seed {}, scale {}",
-                stats.fqdns, stats.rows, shards, seed, scale
+                store.fqdn_count(),
+                store.record_count(),
+                shards,
+                seed,
+                scale
             );
-            eprintln!(
-                "saved in {:.2?} (generation took {:.2?})",
-                save_start.elapsed(),
-                gen_elapsed
-            );
+            eprintln!("generated and sealed in {:.2?}", start.elapsed());
         }
-        Err(e) => die(&format!("snapshot save failed: {e}")),
+        Err(e) => die(&format!("snapshot write failed: {e}")),
     }
     if fw_obs::enabled() {
         eprint!("{}", fw_obs::registry().render_text());

@@ -212,7 +212,8 @@ impl World {
     /// untouched by the sink choice): the row multiset landing in
     /// `store` equals `World::generate(config).pdns`, and the returned
     /// functions are element-wise identical. The caller owns sealing
-    /// (`flush`/`compact` or per-shard `seal_shard`) afterwards.
+    /// (`seal`, or per-shard `seal_shard`) afterwards;
+    /// [`write_snapshot`](crate::write_snapshot) does both steps.
     pub fn generate_into(config: WorldConfig, store: &DiskStore) -> FusedWorld {
         let (net, resolver, platform, _none, functions) = generate_parts(&config, Some(store));
         FusedWorld {
@@ -245,7 +246,7 @@ impl World {
 /// [`World`] except the PDNS rows live only in the [`DiskStore`] the
 /// caller supplied, never as an in-memory [`PdnsStore`]. Dropping that
 /// materialization is what lets the fused pipeline run scale 1.0 in a
-/// fraction of the staged pipeline's peak RSS.
+/// fraction of the in-memory world's peak RSS.
 pub struct FusedWorld {
     pub net: SimNet,
     pub resolver: Arc<RwLock<Resolver>>,
@@ -372,8 +373,8 @@ struct RdataPool {
     cumulative: Vec<f64>,
 }
 
-/// Where a [`Generator`] writes its PDNS rows. `Mem` is the staged
-/// shape: a private per-shard [`PdnsStore`], merged after generation.
+/// Where a [`Generator`] writes its PDNS rows. `Mem` is the in-memory
+/// world: a private per-shard [`PdnsStore`], merged after generation.
 /// `Disk` streams every row into a shared [`DiskStore`] the moment it
 /// is sampled, which is the generate→ingest fusion. The two sinks make
 /// identical RNG draws, so the sampled world cannot depend on the sink.
@@ -1591,8 +1592,10 @@ mod tests {
     }
 
     /// Fused generation (rows streamed into a `DiskStore` as sampled)
-    /// yields the exact same world as staged generation: identical
-    /// function list and identical PDNS aggregates.
+    /// yields the exact same world as in-memory generation: identical
+    /// function list and identical PDNS aggregates. Both flavors, since
+    /// usage and live snapshots are both written through
+    /// `generate_into`.
     #[test]
     fn generate_into_matches_generate() {
         struct TempDir(std::path::PathBuf);
@@ -1601,29 +1604,36 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&self.0);
             }
         }
-        let dir = TempDir(std::env::temp_dir().join(format!(
-            "fw-gen-fused-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        )));
-        let _ = std::fs::remove_dir_all(&dir.0);
+        for config in [WorldConfig::usage(11, 0.003), WorldConfig::live(11, 0.003)] {
+            let dir = TempDir(std::env::temp_dir().join(format!(
+                "fw-gen-fused-{}-{}-{:?}",
+                config.deploy_live,
+                std::process::id(),
+                std::thread::current().id()
+            )));
+            let _ = std::fs::remove_dir_all(&dir.0);
+            assert_generate_into_matches(config, &dir.0);
+        }
+    }
 
-        let config = WorldConfig::usage(11, 0.003);
-        let staged = World::generate(config.clone());
-        let store = DiskStore::create(&dir.0, fw_store::StoreConfig::default()).unwrap();
+    fn assert_generate_into_matches(config: WorldConfig, dir: &std::path::Path) {
+        let mem = World::generate(config.clone());
+        let store = DiskStore::create(dir, fw_store::StoreConfig::default()).unwrap();
         let fused = World::generate_into(config, &store);
-        store.flush().unwrap();
+        store.seal().unwrap();
 
-        assert_eq!(staged.functions.len(), fused.functions.len());
-        for (a, b) in staged.functions.iter().zip(&fused.functions) {
+        assert_eq!(mem.functions.len(), fused.functions.len());
+        for (a, b) in mem.functions.iter().zip(&fused.functions) {
             assert_eq!(a.fqdn, b.fqdn);
             assert_eq!(a.truth, b.truth);
             assert_eq!(a.total_requests, b.total_requests);
             assert_eq!(a.first_seen, b.first_seen);
             assert_eq!(a.last_seen, b.last_seen);
             assert_eq!(a.days_active, b.days_active);
+            assert_eq!((a.probed, a.deployed), (b.probed, b.deployed));
         }
-        let mem_aggs = staged.pdns.all_aggregates();
+        assert_eq!(mem.pdns.record_count(), store.record_count());
+        let mem_aggs = mem.pdns.all_aggregates();
         let disk_aggs = store.all_aggregates();
         assert_eq!(mem_aggs.len(), disk_aggs.len());
         for (a, b) in mem_aggs.iter().zip(&disk_aggs) {

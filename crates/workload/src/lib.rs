@@ -20,4 +20,4 @@ mod gen;
 pub mod snapshot;
 
 pub use gen::{AbuseCase, BenignClass, FusedWorld, Truth, World, WorldConfig, WorldFunction};
-pub use snapshot::{pdns_content_hash, save_pdns, save_pdns_parallel, SnapshotMeta, SnapshotStats};
+pub use snapshot::{pdns_content_hash, write_snapshot, SnapshotMeta};

@@ -2,25 +2,20 @@
 //!
 //! Generating a calibrated world at scale takes minutes; the PDNS rows
 //! it produces are deterministic for a `(seed, scale)` pair. A snapshot
-//! materializes those rows into an `fw-store` [`DiskStore`] once, so
-//! every figure binary can reopen them read-only (`--snapshot <dir>`)
-//! instead of regenerating the world.
+//! writes those rows into an `fw-store` [`DiskStore`] once, so every
+//! figure binary can reopen them read-only (`--snapshot <dir>`) instead
+//! of regenerating the world.
+//!
+//! [`write_snapshot`] is the one way a snapshot is written: the world
+//! is generated straight into the store ([`World::generate_into`]), the
+//! store is sealed to one sorted segment per shard, and a
+//! [`SnapshotMeta`] manifest records the source world and the stored
+//! rows' content hash.
 
-use crate::World;
+use crate::{World, WorldConfig};
 use fw_dns::pdns::PdnsBackend;
 use fw_store::{DiskStore, StoreConfig, StoreError};
 use std::path::Path;
-
-/// What a snapshot save wrote, for progress reporting.
-#[derive(Debug, Clone)]
-pub struct SnapshotStats {
-    pub fqdns: usize,
-    pub rows: usize,
-    /// Per-shard ingest/flush accounting from the store that wrote the
-    /// snapshot (flush counts, flush wall time, bytes written) — feeds
-    /// `pipeline_gate`'s per-shard ingest timings.
-    pub shards: Vec<fw_store::ShardIngestStats>,
-}
 
 /// Sidecar manifest (`world.meta`) recording which world a snapshot was
 /// cut from, so consumers can inherit the seed/scale instead of the
@@ -72,8 +67,8 @@ impl SnapshotMeta {
         std::fs::write(dir.join(META_FILE), text)
     }
 
-    /// Read the manifest; `None` if absent or malformed (snapshots
-    /// written by hand via [`save_pdns`] have no manifest).
+    /// Read the manifest; `None` if absent or malformed (a store made
+    /// with `DiskStore::create` alone has no manifest).
     pub fn read(dir: &Path) -> Option<SnapshotMeta> {
         let text = std::fs::read_to_string(dir.join(META_FILE)).ok()?;
         let (mut seed, mut scale, mut live, mut rows_fnv) = (None, None, None, None);
@@ -95,67 +90,37 @@ impl SnapshotMeta {
     }
 }
 
-/// Persist any PDNS backend into a fresh [`DiskStore`] at `dir`
-/// (created; fails if a snapshot already exists there). The store is
-/// flushed and compacted so the result is one sorted segment per shard.
-pub fn save_pdns<B: PdnsBackend + ?Sized>(
-    pdns: &B,
+/// Generate `config`'s world straight into a fresh `shards`-shard
+/// [`DiskStore`] at `dir` (created; fails if a snapshot already exists
+/// there), seal it, and write its [`SnapshotMeta`] manifest. The rows
+/// equal `World::generate(config).pdns` at any `gen_workers`, so the
+/// manifest's `rows_fnv` is the in-memory world's content hash too.
+/// Returns the sealed store; its tables stay resident for callers that
+/// want counts or queries without reopening it.
+pub fn write_snapshot(
+    config: WorldConfig,
     dir: &Path,
     shards: usize,
-) -> Result<SnapshotStats, StoreError> {
-    save_pdns_parallel(pdns, dir, shards, 1)
-}
-
-/// [`save_pdns`] with `workers` parallel producers feeding the store
-/// (each owns a disjoint fqdn set, so the compacted result is
-/// byte-identical at every worker count).
-pub fn save_pdns_parallel<B: PdnsBackend + ?Sized>(
-    pdns: &B,
-    dir: &Path,
-    shards: usize,
-    workers: usize,
-) -> Result<SnapshotStats, StoreError> {
+) -> Result<DiskStore, StoreError> {
     let store = DiskStore::create(
         dir,
         StoreConfig {
             shards,
-            ..StoreConfig::default()
+            // Seal writes each shard once from its table, so a
+            // threshold flush would only write a segment to delete.
+            flush_rows: 0,
         },
     )?;
-    store.ingest_parallel(pdns, workers.max(1));
-    store.flush()?;
-    store.compact()?;
-    Ok(SnapshotStats {
-        fqdns: store.fqdn_count(),
-        rows: store.record_count(),
-        shards: store.shard_ingest_stats(),
-    })
-}
-
-impl World {
-    /// Save this world's PDNS store as a reopenable snapshot, with a
-    /// [`SnapshotMeta`] manifest recording the source seed/scale.
-    pub fn save_snapshot(&self, dir: &Path, shards: usize) -> Result<SnapshotStats, StoreError> {
-        self.save_snapshot_parallel(dir, shards, 1)
+    let world = World::generate_into(config, &store);
+    store.seal()?;
+    SnapshotMeta {
+        seed: world.config.seed,
+        scale: world.config.scale,
+        live: world.config.deploy_live,
+        rows_fnv: pdns_content_hash(&store),
     }
-
-    /// [`World::save_snapshot`] with parallel ingest producers.
-    pub fn save_snapshot_parallel(
-        &self,
-        dir: &Path,
-        shards: usize,
-        workers: usize,
-    ) -> Result<SnapshotStats, StoreError> {
-        let stats = save_pdns_parallel(&self.pdns, dir, shards, workers)?;
-        SnapshotMeta {
-            seed: self.config.seed,
-            scale: self.config.scale,
-            live: self.config.deploy_live,
-            rows_fnv: pdns_content_hash(&self.pdns),
-        }
-        .write(dir)?;
-        Ok(stats)
-    }
+    .write(dir)?;
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -185,22 +150,20 @@ mod tests {
         }
     }
 
-    fn tiny_world() -> World {
-        World::generate(WorldConfig {
-            seed: 7,
-            scale: 0.002,
-            deploy_live: false,
-            ..WorldConfig::default()
-        })
+    fn tiny_config() -> WorldConfig {
+        WorldConfig::usage(7, 0.002)
     }
 
     #[test]
-    fn snapshot_equals_live_store() {
-        let world = tiny_world();
+    fn snapshot_equals_in_memory_world() {
+        let world = World::generate(tiny_config());
         let dir = TempDir::new();
-        let stats = world.save_snapshot(&dir.0, 4).unwrap();
-        assert!(stats.fqdns > 0);
-        assert_eq!(stats.fqdns, world.pdns.fqdn_count());
+        let store = write_snapshot(tiny_config(), &dir.0, 4).unwrap();
+        assert!(store.fqdn_count() > 0);
+        assert_eq!(store.fqdn_count(), world.pdns.fqdn_count());
+        assert_eq!(store.record_count(), world.pdns.record_count());
+        assert_eq!(store.segment_count(), 4, "sealed: one segment per shard");
+        drop(store);
 
         let disk = DiskStore::open_read_only(&dir.0).unwrap();
         assert_eq!(disk.all_aggregates(), world.pdns.all_aggregates());
@@ -208,9 +171,8 @@ mod tests {
 
     #[test]
     fn reopening_is_deterministic() {
-        let world = tiny_world();
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0, 4).unwrap();
         let a = DiskStore::open_read_only(&dir.0).unwrap().all_aggregates();
         let b = DiskStore::open_read_only(&dir.0).unwrap().all_aggregates();
         assert_eq!(a, b);
@@ -218,9 +180,9 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_world_identity() {
-        let world = tiny_world();
+        let world = World::generate(tiny_config());
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0, 4).unwrap();
         let meta = SnapshotMeta::read(&dir.0).expect("manifest written");
         assert_eq!(
             meta,
@@ -232,24 +194,24 @@ mod tests {
             }
         );
         assert_ne!(meta.rows_fnv, 0);
-        // The on-disk copy hashes identically despite different row
-        // merge boundaries.
+        // The reopened copy hashes identically.
         let disk = DiskStore::open_read_only(&dir.0).unwrap();
         assert_eq!(pdns_content_hash(&disk), meta.rows_fnv);
-        // A bare save_pdns snapshot has no manifest.
+        // A bare store has no manifest.
         let dir2 = TempDir::new();
-        save_pdns(&world.pdns, &dir2.0, 4).unwrap();
+        DiskStore::create(&dir2.0, StoreConfig::default()).unwrap();
         assert!(SnapshotMeta::read(&dir2.0).is_none());
     }
 
     #[test]
     fn refuses_to_overwrite_existing_snapshot() {
-        let world = tiny_world();
         let dir = TempDir::new();
-        world.save_snapshot(&dir.0, 4).unwrap();
+        write_snapshot(tiny_config(), &dir.0, 4).unwrap();
+        let meta = std::fs::read(dir.0.join(META_FILE)).unwrap();
         assert!(matches!(
-            world.save_snapshot(&dir.0, 4),
+            write_snapshot(tiny_config(), &dir.0, 4),
             Err(StoreError::AlreadyExists(_))
         ));
+        assert_eq!(std::fs::read(dir.0.join(META_FILE)).unwrap(), meta);
     }
 }

@@ -1,16 +1,19 @@
 //! Worker-count invariance of the parallel data plane (DESIGN.md §12).
 //!
-//! World generation fans shards out across `gen_workers` threads and
-//! snapshot ingest fans fqdn partitions across producer threads; both
-//! must be pure functions of `(seed, scale)` — the worker count may
-//! only change wall time, never a byte of output. These properties
-//! drive both paths at worker counts {1, 3, 8} over random seeds and
-//! scales and require identical function populations, identical full
-//! row dumps, and identical manifest/content hashes.
+//! World generation fans shards out across `gen_workers` threads, both
+//! into the in-memory store (`World::generate`) and straight into a
+//! snapshot store (`write_snapshot`); both must be pure functions of
+//! `(seed, scale)` — the worker count may only change wall time, never
+//! a byte of output. These properties drive both paths at worker counts
+//! {1, 3, 8} over random seeds and scales and require identical
+//! function populations, identical full row dumps, and identical
+//! manifest/content hashes.
 
 use fw_dns::pdns::PdnsBackend;
 use fw_store::DiskStore;
-use fw_workload::{pdns_content_hash, SnapshotMeta, World, WorldConfig, WorldFunction};
+use fw_workload::{
+    pdns_content_hash, write_snapshot, SnapshotMeta, World, WorldConfig, WorldFunction,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,27 +127,28 @@ proptest! {
         }
     }
 
-    /// Parallel snapshot ingest is invariant: the compacted on-disk
-    /// store and its manifest hash match the serial save exactly.
+    /// A snapshot written at any generation worker count holds exactly
+    /// the serial in-memory world's rows: same aggregates, same row
+    /// dump after a reopen, and the same manifest.
     #[test]
-    fn ingest_is_worker_count_invariant((seed, scale) in world_spec()) {
-        let world = World::generate(config(seed, scale, false, 0));
+    fn snapshot_is_worker_count_invariant((seed, scale) in world_spec()) {
+        let world = World::generate(config(seed, scale, false, 1));
+        let want_aggs = world.pdns.all_aggregates();
+        let want_rows = row_dump(&world.pdns);
+        let want_meta = SnapshotMeta {
+            seed,
+            scale,
+            live: false,
+            rows_fnv: pdns_content_hash(&world.pdns),
+        };
 
-        let serial_dir = TempDir::new();
-        world.save_snapshot_parallel(&serial_dir.0, 4, 1).unwrap();
-        let serial = DiskStore::open_read_only(&serial_dir.0).unwrap();
-        let serial_aggs = serial.all_aggregates();
-        let serial_rows = row_dump(&serial);
-        let serial_meta = SnapshotMeta::read(&serial_dir.0).unwrap();
-        prop_assert_eq!(serial_meta.rows_fnv, pdns_content_hash(&world.pdns));
-
-        for workers in [3usize, 8] {
+        for workers in [1usize, 3, 8] {
             let dir = TempDir::new();
-            world.save_snapshot_parallel(&dir.0, 4, workers).unwrap();
+            write_snapshot(config(seed, scale, false, workers), &dir.0, 4).unwrap();
             let disk = DiskStore::open_read_only(&dir.0).unwrap();
-            prop_assert_eq!(&disk.all_aggregates(), &serial_aggs, "aggregates diverge at workers={}", workers);
-            prop_assert_eq!(&row_dump(&disk), &serial_rows, "rows diverge at workers={}", workers);
-            prop_assert_eq!(SnapshotMeta::read(&dir.0).unwrap(), serial_meta);
+            prop_assert_eq!(&disk.all_aggregates(), &want_aggs, "aggregates diverge at gen_workers={}", workers);
+            prop_assert_eq!(&row_dump(&disk), &want_rows, "rows diverge at gen_workers={}", workers);
+            prop_assert_eq!(SnapshotMeta::read(&dir.0).unwrap(), want_meta);
         }
     }
 }
